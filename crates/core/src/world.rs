@@ -22,7 +22,9 @@ use manet_mobility::{
     RandomWaypoint, RandomWaypointParams, Segment, Stationary,
 };
 use manet_net::HelloPayload;
-use manet_phy::{CarrierChange, Delivery, FrameId, Medium, NeighborGrid, NodeId, ShardMap};
+use manet_phy::{
+    CarrierChange, Delivery, FrameId, Medium, NeighborGrid, NodeId, ShardMap, StripIndex,
+};
 use manet_scenario::{Region, WorldAction};
 use manet_sim_engine::{
     EventKey, EventQueue, LoopProfiler, ShardDelta, SimDuration, SimRng, SimTime, Slab, Timeline,
@@ -230,24 +232,6 @@ impl ScenarioState {
     }
 }
 
-/// How often the sharded executor rebuilds strip membership from fresh
-/// positions. Between syncs, membership drifts by at most
-/// `max_speed × elapsed`, which the query windows absorb (see
-/// [`World::in_range_strips`]).
-const STRIP_SYNC_INTERVAL: manet_sim_engine::SimDuration =
-    manet_sim_engine::SimDuration::from_secs(1);
-
-/// Host count below which a full position refresh stays single-threaded:
-/// under ~8k segment evaluations, the fan-out overhead eats the win.
-const PARALLEL_REFRESH_MIN_HOSTS: usize = 8_192;
-
-/// Absolute slack (meters) added to the `max_speed × elapsed` drift bound
-/// in strip range queries, absorbing the floating-point rounding of that
-/// product. Overestimating drift only widens the candidate window — the
-/// exact distance test still decides membership — so a micrometer of
-/// safety costs nothing and removes any 1-ulp exclusion hazard.
-const DRIFT_SLACK: f64 = 1e-6;
-
 /// A `BeginTx` surfaced by a shard drain, deferred to the epoch barrier.
 /// `seq` is the global sequence stamp of the timer event that produced it:
 /// the barrier executes deferred transmissions in `(time, seq)` order
@@ -262,11 +246,11 @@ struct DeferredTx {
     payload_bytes: usize,
 }
 
-/// Unsafe shared-mutable slice for handing disjoint elements (or disjoint
-/// index ranges) of one buffer to concurrent pool jobs. Every access site
-/// must guarantee disjointness; the epoch executor's is the single-live-
-/// timer invariant (each node's pending MAC timer lives in exactly one
-/// shard queue, so no two drains ever touch the same node).
+/// Unsafe shared-mutable slice for handing disjoint elements of one
+/// buffer to concurrent pool jobs. Every access site must guarantee
+/// disjointness; the epoch executor's is the single-live-timer invariant
+/// (each node's pending MAC timer lives in exactly one shard queue, so no
+/// two drains ever touch the same node).
 struct SharedSliceMut<T>(*mut T, usize);
 
 unsafe impl<T: Send> Sync for SharedSliceMut<T> {}
@@ -285,20 +269,6 @@ impl<T> SharedSliceMut<T> {
     unsafe fn get(&self, i: usize) -> *mut T {
         debug_assert!(i < self.1, "index {i} out of bounds ({})", self.1);
         unsafe { self.0.add(i) }
-    }
-
-    /// Mutable subslice `start..end`.
-    ///
-    /// # Safety
-    ///
-    /// The caller must ensure concurrent users take disjoint ranges.
-    // The `&self -> &mut` shape is this type's entire purpose: it fans
-    // one `&mut [T]` out to pool jobs whose disjointness the caller
-    // proves (see the safety contract).
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn slice(&self, start: usize, end: usize) -> &mut [T] {
-        debug_assert!(start <= end && end <= self.1, "range out of bounds");
-        unsafe { std::slice::from_raw_parts_mut(self.0.add(start), end - start) }
     }
 }
 
@@ -403,42 +373,26 @@ pub struct World {
     cfg: SimConfig,
     map: Map,
     queue: EventQueue<Event>,
-    /// Per-shard event queues, one per spatial strip; empty on sequential
-    /// runs (`shards == 1`), where everything stays on `queue`. Shard
-    /// queues hold only [`Event::MacTimer`] — the dominant event kind and
-    /// the only one that is never cancelled, so no cross-queue tombstone
-    /// routing is needed. All queues share the global [`Self::event_seq`]
-    /// counter, making the merged pop order (time, then seq) identical to
-    /// the single-queue order for **any** shard count.
+    /// Epoch-parallel runs only: one event queue per `--shards` strip,
+    /// holding only [`Event::MacTimer`] — the dominant event kind, routed
+    /// by the scheduling host's strip. Empty on every other run, where
+    /// everything stays on `queue`. All queues share the global
+    /// [`Self::event_seq`] counter.
     shard_queues: Vec<EventQueue<Event>>,
     /// Global event sequence counter stamping every scheduled event across
     /// the control queue and all shard queues. Assigned in schedule order,
-    /// exactly as a single queue's internal counter would — the invariant
-    /// behind bit-identical sharded execution.
+    /// exactly as a single queue's internal counter would, so the merged
+    /// image of all queues (what a snapshot stores) is the single-queue
+    /// one.
     event_seq: u64,
-    /// Spatial strip partition of the map's x-axis (strips ≥ one radio
-    /// radius wide). `shards() == 1` on sequential runs.
+    /// The `--shards` partition of the map's x-axis (strips ≥ one radio
+    /// radius wide) that the epoch executor's queues follow.
     shard_map: ShardMap,
-    /// Strip owning each host, as of the last strip sync.
+    /// Epoch-parallel runs only: the `shard_map` strip owning each host,
+    /// re-derived at every sync of `index`.
     strip_of_host: Vec<u32>,
-    /// Each strip's hosts as `(sync position, id)`, sorted by the
-    /// position's y (ties by id), as of the last sync. Read-only between
-    /// syncs, so strip range queries can slice out the y-window of a
-    /// query disc and prefilter candidates against the cached positions
-    /// without touching the mobility segments: a host within `radius` of
-    /// a query point now was within `radius + drift` of it at the sync
-    /// (nobody outruns [`Self::max_speed_ms`]), and only hosts passing
-    /// that coarse test need an exact position evaluation.
-    strip_hosts: Vec<Vec<(Vec2, u32)>>,
-    /// Host-id-indexed hit bitmap for strip range queries: the spatial
-    /// scan marks ids here, then a word sweep reads them back in
-    /// ascending-id order (the order the grid query produces) without a
-    /// sort. All-zero between queries. Empty on sequential runs.
-    range_bits: Vec<u64>,
-    /// When strip membership was last rebuilt.
-    strip_sync_at: SimTime,
-    /// Upper bound on host speed in m/s, for the membership drift margin.
-    max_speed_ms: f64,
+    /// The one answer to "who hears whom" for every range query.
+    index: StripIndex,
     nodes: Vec<Node>,
     medium: Medium,
     metrics: MetricsCollector,
@@ -464,12 +418,12 @@ pub struct World {
     /// Frames on the air, indexed by [`FrameId`] slot (the medium recycles
     /// ids, so a slot is reused only after its frame ends).
     in_flight: Vec<Option<InFlight>>,
-    /// Spatial index over `snap_positions`, kept in lockstep by
-    /// [`refresh_positions`](Self::refresh_positions).
+    /// Spatial index over `snap_positions` for the flood-reachability
+    /// search, synced by [`refresh_grid`](Self::refresh_grid).
     grid: NeighborGrid,
-    /// Cached host positions, valid at `snap_at`. Mobility is piecewise
-    /// deterministic, so every query at the same timestamp returns the
-    /// same snapshot; the buffer is reused across refreshes.
+    /// Cached host positions. All of them are valid at `snap_at`; range
+    /// queries in between refresh just the entries they evaluate (the
+    /// transmitter and the hearers whose positions are read afterwards).
     snap_positions: Vec<Vec2>,
     snap_at: Option<SimTime>,
     /// Dense copy of every host's current motion segment, refreshed on
@@ -521,9 +475,9 @@ pub struct World {
     /// Churn and fault-injection state; `None` unless the config carries
     /// a scenario.
     scenario: Option<ScenarioState>,
-    /// Persistent worker pool for the epoch-parallel shard advance and
-    /// the dense position refresh. Sized once at construction; zero
-    /// workers (inline execution) on single-core hosts or sequential runs.
+    /// Persistent worker pool for the epoch-parallel shard advance. Sized
+    /// once at construction; zero workers (inline execution) on
+    /// single-core hosts or runs without parallel epochs.
     pool: WorkerPool,
     /// `true` when this run uses the epoch-parallel executor: the config
     /// opted in **and** the strip partition is real **and** the
@@ -659,42 +613,36 @@ impl World {
 
         let pure = PureModels::new(&config);
 
-        // The sharded executor's strip partition. Construction scheduling
-        // above used the queue's internal counter; the world-owned global
-        // counter picks up exactly where it left off, so sequence numbers
-        // are identical to a single-queue run.
-        let shard_map = ShardMap::new(map.bounds().width(), config.radio_radius, config.shards);
-        let shards = shard_map.shards();
-        let event_seq = queue.counters().1;
-        let shard_queues: Vec<EventQueue<Event>> = if shards > 1 {
-            (0..shards).map(|_| EventQueue::new()).collect()
-        } else {
-            Vec::new()
-        };
-        let mut strip_of_host = Vec::new();
-        let mut strip_hosts: Vec<Vec<(Vec2, u32)>> = Vec::new();
-        if shards > 1 {
-            strip_of_host.reserve(hosts);
-            strip_hosts.resize_with(shards, Vec::new);
-            for (i, &p) in positions.iter().enumerate() {
-                let s = shard_map.shard_of_x(p.x);
-                strip_of_host.push(s as u32);
-                strip_hosts[s].push((p, i as u32));
-            }
-            for hosts in &mut strip_hosts {
-                hosts.sort_unstable_by(|a, b| a.0.y.total_cmp(&b.0.y).then(a.1.cmp(&b.1)));
-            }
-        }
+        // The range index is sized from the map and the radio alone. It
+        // syncs lazily on its first query, except under the epoch
+        // executor, whose queue routing follows the index syncs and keeps
+        // its historical schedule: synced to the placement at time zero.
         // RandomWaypoint floors its speed at 3.6 km/h, so the drift bound
         // must too; overestimating only widens query windows, never
         // changes results.
-        let max_speed_ms = config.effective_max_speed_kmh().max(3.6) / 3.6;
-
+        let mut index = StripIndex::new(
+            map.bounds().width(),
+            config.radio_radius,
+            config.effective_max_speed_kmh().max(3.6) / 3.6,
+        );
+        let shard_map = ShardMap::new(map.bounds().width(), config.radio_radius, config.shards);
+        let shards = shard_map.shards();
         let epoch_par = config.parallel_epochs && shards > 1 && !config.cs_delay.is_zero();
+        // Construction scheduling above used the queue's internal counter;
+        // the world-owned global counter picks up exactly where it left
+        // off, so sequence numbers are identical to a single-queue run.
+        let event_seq = queue.counters().1;
+        let mut shard_queues = Vec::new();
+        let mut strip_of_host = Vec::new();
+        if epoch_par {
+            shard_queues.resize_with(shards, EventQueue::new);
+            index.sync(SimTime::ZERO, &positions);
+            strip_of_host.extend(positions.iter().map(|p| shard_map.shard_of_x(p.x) as u32));
+        }
         // One worker per strip, capped by the cores actually present
         // (minus the participating caller). Zero workers means pool jobs
         // run inline — correct, just not concurrent.
-        let pool_threads = if shards > 1 {
+        let pool_threads = if epoch_par {
             match config.workers {
                 Some(workers) => (workers as usize).min(shards),
                 None => std::thread::available_parallelism()
@@ -712,14 +660,7 @@ impl World {
             event_seq,
             shard_map,
             strip_of_host,
-            strip_hosts,
-            range_bits: if shards > 1 {
-                vec![0u64; hosts.div_ceil(64)]
-            } else {
-                Vec::new()
-            },
-            strip_sync_at: SimTime::ZERO,
-            max_speed_ms,
+            index,
             medium: {
                 let mut medium = Medium::new(hosts);
                 if config.drop_probability > 0.0 {
@@ -744,10 +685,9 @@ impl World {
                 map.bounds().height(),
                 config.radio_radius,
             ),
-            // Strip-lazy refreshes write individual entries, so the
-            // sharded executor needs the buffer pre-sized (the entries are
-            // stale until their strip's stamp says otherwise).
-            snap_positions: if shards > 1 { positions } else { Vec::new() },
+            // Range queries write individual entries, so the buffer starts
+            // full-sized (its entries are stale until refreshed).
+            snap_positions: positions,
             snap_at: None,
             grid_at: None,
             segments,
@@ -827,17 +767,15 @@ impl World {
             .map_or(0, |st| st.node_epoch[node.index()])
     }
 
-    // ---- sharded execution ------------------------------------------------
+    // ---- event queues ---------------------------------------------------
     //
-    // The executor maintains one control queue plus (when `--shards N`
-    // asked for more than one strip) a queue per spatial strip. Every
-    // scheduled event is stamped from a single global sequence counter in
-    // program order, and events are popped in global `(time, seq)` order
-    // across all queues — so the delivered event stream, and with it every
-    // RNG draw and tie-break, is bit-identical for any shard count. Shard
-    // queues hold only `MacTimer` events (never cancelled; cancellation
-    // keys always resolve against the control queue), routed by the
-    // scheduling host's strip.
+    // Every run has one control queue; the epoch executor adds a queue
+    // per `--shards` strip. Every scheduled event is stamped from a single
+    // global sequence counter in program order, so the merged
+    // `(time, seq)` image of all queues is exactly the single-queue one.
+    // Shard queues hold only `MacTimer` events (cancellation keys of the
+    // other kinds always resolve against the control queue), routed by
+    // the scheduling host's strip.
 
     /// Schedules `event`, stamping it from the global sequence counter and
     /// routing it to its owner queue.
@@ -852,33 +790,6 @@ impl World {
             _ => &mut self.queue,
         };
         queue.schedule_seq(time, seq, event)
-    }
-
-    /// The `(time, queue)` of the globally next event across the control
-    /// queue (index 0) and every shard queue (index `strip + 1`), merged
-    /// by the deterministic `(time, seq)` rule.
-    #[cfg_attr(simlint, shard_merge)]
-    fn peek_next(&mut self) -> Option<(SimTime, usize)> {
-        let mut best = self.queue.peek_key().map(|key| (key, 0));
-        for (i, q) in self.shard_queues.iter_mut().enumerate() {
-            if let Some(key) = q.peek_key() {
-                if best.is_none_or(|(b, _)| key < b) {
-                    best = Some((key, i + 1));
-                }
-            }
-        }
-        best.map(|((time, _), queue)| (time, queue))
-    }
-
-    /// Pops the head of the queue selected by [`peek_next`](Self::peek_next).
-    #[cfg_attr(simlint, shard_merge)]
-    fn pop_next(&mut self, queue: usize) -> (SimTime, Event) {
-        let q = if queue == 0 {
-            &mut self.queue
-        } else {
-            &mut self.shard_queues[queue - 1]
-        };
-        q.pop().expect("peeked event vanished")
     }
 
     /// Merged queue counters `(now, next_seq, delivered, scheduled)` across
@@ -986,8 +897,8 @@ impl World {
         finished
     }
 
-    /// The default executor: one globally `(time, seq)`-ordered event at a
-    /// time — bit-identical for any shard count.
+    /// The default executor: one `(time, seq)`-ordered event at a time
+    /// off the single queue.
     fn advance_sequential(
         &mut self,
         pause_at: SimTime,
@@ -995,14 +906,14 @@ impl World {
         observer: &mut dyn SimObserver,
     ) -> bool {
         loop {
-            let Some((next, queue)) = self.peek_next() else {
+            let Some((next, _)) = self.queue.peek_key() else {
                 self.finished = true;
                 return true;
             };
             if next >= pause_at {
                 return false;
             }
-            let (now, event) = self.pop_next(queue);
+            let (now, event) = self.queue.pop().expect("peeked event vanished");
             if now > self.stop_at {
                 self.finished = true;
                 return true;
@@ -1505,182 +1416,63 @@ impl World {
     /// Ensures `snap_positions` holds every host's position at `now`.
     /// Mobility models are evaluated once per distinct timestamp; every
     /// further query at the same `now` is free.
-    ///
-    /// On sharded runs with enough hosts the dense evaluation fans out
-    /// over the persistent worker pool. Each job writes a disjoint chunk
-    /// of the buffer with a pure function of the (shared, read-only)
-    /// segments, so the result is independent of job-to-thread
-    /// assignment.
     fn refresh_positions(&mut self, now: SimTime) {
         if self.snap_at == Some(now) {
             return;
         }
         let bounds = self.map.bounds();
-        let n = self.segments.len();
-        if self.shard_map.shards() > 1 && n >= PARALLEL_REFRESH_MIN_HOSTS {
-            let jobs = self.shard_map.shards().min(8);
-            let chunk = n.div_ceil(jobs);
-            let mut snap = std::mem::take(&mut self.snap_positions);
-            snap.resize(n, Vec2::ZERO);
-            {
-                let out = SharedSliceMut::new(&mut snap);
-                let segments = &self.segments;
-                self.pool.run(jobs, &|j| {
-                    let start = (j * chunk).min(n);
-                    let end = ((j + 1) * chunk).min(n);
-                    // SAFETY: job `j` writes only `start..end`, disjoint
-                    // across jobs.
-                    let dst = unsafe { out.slice(start, end) };
-                    for (s, p) in segments[start..end].iter().zip(dst) {
-                        *p = s.position_at(now, bounds);
-                    }
-                });
-            }
-            self.snap_positions = snap;
-        } else {
-            self.snap_positions.clear();
-            self.snap_positions
-                .extend(self.segments.iter().map(|s| s.position_at(now, bounds)));
+        for (p, s) in self.snap_positions.iter_mut().zip(&self.segments) {
+            *p = s.position_at(now, bounds);
         }
         self.snap_at = Some(now);
     }
 
-    /// Rebuilds strip membership from fresh positions once per
-    /// [`STRIP_SYNC_INTERVAL`] of simulated time. The sync is *not* an
-    /// event: it consumes no sequence number and draws no randomness, so
-    /// it cannot perturb the delivered event stream — it only re-balances
-    /// which strip scans which hosts.
-    fn maybe_strip_sync(&mut self, now: SimTime) {
-        if now < self.strip_sync_at + STRIP_SYNC_INTERVAL {
-            return;
-        }
-        self.refresh_positions(now);
-        for hosts in &mut self.strip_hosts {
-            hosts.clear();
-        }
-        for (i, &p) in self.snap_positions.iter().enumerate() {
-            let s = self.shard_map.shard_of_x(p.x);
-            self.strip_of_host[i] = s as u32;
-            self.strip_hosts[s].push((p, i as u32));
-        }
-        for hosts in &mut self.strip_hosts {
-            hosts.sort_unstable_by(|a, b| a.0.y.total_cmp(&b.0.y).then(a.1.cmp(&b.1)));
-        }
-        self.strip_sync_at = now;
-    }
-
-    /// Strip-lazy replacement for the brute-force range scan on sharded
-    /// runs: prefilters the strips within reach of `of` against the
-    /// sync-time position cache, then runs the exact squared-distance
-    /// test on the survivors' *fresh* positions. The result is
-    /// byte-identical to [`manet_phy::in_range_into`] over a full
-    /// snapshot (ascending ids, identical arithmetic on identical fresh
-    /// positions); only the number of segment evaluations changes — a
-    /// radius-sized disc's worth instead of whole strips'.
+    /// Writes every host within radio range of `of` at `now` into `out`,
+    /// ascending — exactly [`manet_phy::in_range_into`] over a full fresh
+    /// snapshot, answered by the strip index with a disc's worth of
+    /// segment evaluations. A due index is re-synced first; the sync is
+    /// *not* an event: it consumes no sequence number and draws no
+    /// randomness, so it cannot perturb the delivered event stream.
     ///
-    /// Window correctness: a host within `radius` of the transmitter now
-    /// sat, at the last sync, within `radius + drift` of the
-    /// transmitter's *current* position (it moved at most
-    /// `max_speed × elapsed` since; `DRIFT_SLACK` absorbs the rounding of
-    /// that product), so the coarse test against the sync-time positions
-    /// keeps every host that could be in range, and the same inflated
-    /// window bounds which strips — and which y-slice of each strip —
-    /// can hold candidates. By the same bound, a candidate within
-    /// `radius - drift` at the sync cannot have escaped the disc, so
-    /// membership is already decided for it; only the remaining annulus
-    /// of uncertainty needs a position evaluated at `now` for the exact
-    /// test. Downstream readers of [`Self::snap_positions`] see fresh
-    /// listener entries only where they look: capture-mode signal
-    /// strengths and scenario link faults are the sole consumers, so the
-    /// certain candidates' evaluations are skipped unless one of those
-    /// features is on.
+    /// The transmitter's own entry of `snap_positions` is always fresh
+    /// afterwards. The hearers' entries are refreshed only when capture
+    /// (signal strengths) or a scenario (link faults) reads them.
     #[cfg_attr(simlint, hot_path)]
-    fn in_range_strips(&mut self, now: SimTime, of: NodeId, out: &mut Vec<NodeId>) {
-        debug_assert!(
-            !self.shard_queues.is_empty(),
-            "strip scan on a sequential run"
-        );
-        self.maybe_strip_sync(now);
+    fn in_range(&mut self, now: SimTime, of: NodeId, out: &mut Vec<NodeId>) {
+        if self.index.sync_due(now) {
+            self.refresh_positions(now);
+            self.index.sync(now, &self.snap_positions);
+            if self.epoch_par {
+                // MAC timers follow their host's `--shards` strip as of
+                // the latest sync.
+                for (strip, p) in self.strip_of_host.iter_mut().zip(&self.snap_positions) {
+                    *strip = self.shard_map.shard_of_x(p.x) as u32;
+                }
+            }
+        }
         let bounds = self.map.bounds();
-        let center = if self.snap_at == Some(now) {
-            self.snap_positions[of.index()]
-        } else {
-            let p = self.segments[of.index()].position_at(now, bounds);
-            self.snap_positions[of.index()] = p;
-            p
-        };
-        let radius = self.cfg.radio_radius;
-        let drift = self.max_speed_ms
-            * now
-                .saturating_duration_since(self.strip_sync_at)
-                .as_secs_f64()
-            + DRIFT_SLACK;
-        let reach = radius + drift;
-        let (lo, hi) = self
-            .shard_map
-            .strips_overlapping(center.x - reach, center.x + reach);
-        out.clear();
-        let m2 = reach * reach;
-        let r2 = radius * radius;
-        // Inside this radius at the sync, a host cannot have left the
-        // disc since (negative sentinel when drift swallows the radius:
-        // nothing is certain, every candidate takes the exact test).
-        let inner = radius - drift;
-        let inner2 = if inner > 0.0 { inner * inner } else { -1.0 };
-        let needs_positions = self.cfg.capture.is_some() || self.scenario.is_some();
-        let me = of.index() as u32;
-        let lo_y = center.y - reach;
-        let hi_y = center.y + reach;
-        for s in lo..=hi {
-            let hosts = &self.strip_hosts[s];
-            let start = hosts.partition_point(|&(p, _)| p.y < lo_y);
-            for &(sync_pos, h) in &hosts[start..] {
-                if sync_pos.y > hi_y {
-                    break;
-                }
-                if h == me {
-                    continue;
-                }
-                let d2 = sync_pos.distance_squared_to(center);
-                if d2 > m2 {
-                    continue;
-                }
-                if d2 > inner2 {
-                    let p = self.segments[h as usize].position_at(now, bounds);
-                    self.snap_positions[h as usize] = p;
-                    if p.distance_squared_to(center) > r2 {
-                        continue;
-                    }
-                } else if needs_positions {
-                    self.snap_positions[h as usize] =
-                        self.segments[h as usize].position_at(now, bounds);
-                }
-                self.range_bits[(h >> 6) as usize] |= 1u64 << (h & 63);
-            }
+        if self.snap_at != Some(now) {
+            self.snap_positions[of.index()] = self.segments[of.index()].position_at(now, bounds);
         }
-        // The strips were visited in x order and each strip in y order, so
-        // the hits land in spatial order; the id-indexed bitmap reads them
-        // back ascending — the same order the grid query produces — without
-        // sorting. Words are zeroed as they are consumed, keeping the map
-        // clean for the next query.
-        for (w, word) in self.range_bits.iter_mut().enumerate() {
-            let mut bits = *word;
-            if bits == 0 {
-                continue;
-            }
-            *word = 0;
-            let base = (w as u32) << 6;
-            while bits != 0 {
-                out.push(NodeId::new(base + bits.trailing_zeros()));
-                bits &= bits - 1;
-            }
-        }
+        let center = self.snap_positions[of.index()];
+        let eval_certain = self.cfg.capture.is_some() || self.scenario.is_some();
+        let (segments, snap) = (&self.segments, &mut self.snap_positions);
+        self.index.query_into(
+            now,
+            of,
+            center,
+            eval_certain,
+            |h| {
+                let p = segments[h.index()].position_at(now, bounds);
+                snap[h.index()] = p;
+                p
+            },
+            out,
+        );
     }
 
-    /// Ensures the spatial grid indexes the position snapshot at `now`.
-    /// Re-indexing costs an O(hosts) pass, so only the multi-query
-    /// consumers (flood reachability, oracle neighbor views) sync the
-    /// grid; single-query paths scan the snapshot directly instead.
+    /// Ensures the spatial grid indexes the position snapshot at `now`,
+    /// for the flood-reachability search (one per broadcast).
     fn refresh_grid(&mut self, now: SimTime) {
         self.refresh_positions(now);
         if self.grid_at == Some(now) {
@@ -1864,23 +1656,7 @@ impl World {
             Payload::Hello(_) => self.hello_frames += 1,
         }
         let mut listeners = std::mem::take(&mut self.scratch_listeners);
-        if self.shard_queues.is_empty() {
-            self.refresh_positions(now);
-            // A transmission start makes exactly one range query at this
-            // timestamp, so the O(hosts) snapshot scan beats re-indexing
-            // the grid (also O(hosts)) just to make one O(1) cell lookup.
-            manet_phy::in_range_into(
-                &self.snap_positions,
-                node,
-                self.cfg.radio_radius,
-                &mut listeners,
-            );
-        } else {
-            // Sharded runs refresh and scan only the strips within reach
-            // of the transmitter — same output, a fraction of the segment
-            // evaluations.
-            self.in_range_strips(now, node, &mut listeners);
-        }
+        self.in_range(now, node, &mut listeners);
         if let Some(st) = &self.scenario {
             // Hosts that are down have no radio: they neither sense this
             // frame's carrier nor receive it.
@@ -2115,47 +1891,18 @@ impl World {
         neighbors.clear();
         sender_neighbors.clear();
         let oracle = if use_oracle {
-            if self.shard_queues.is_empty() {
-                self.refresh_grid(now);
-                self.grid.in_range_into(
-                    &self.snap_positions,
-                    node,
-                    self.cfg.radio_radius,
-                    &mut neighbors,
-                );
-                let neighbor_count = neighbors.len();
-                if needs_two_hop {
-                    self.grid.in_range_into(
-                        &self.snap_positions,
-                        sender,
-                        self.cfg.radio_radius,
-                        &mut sender_neighbors,
-                    );
-                } else {
-                    neighbors.clear();
-                }
-                Some(OracleView {
-                    neighbor_count,
-                    neighbors: &neighbors,
-                    sender_neighbors: &sender_neighbors,
-                })
+            self.in_range(now, node, &mut neighbors);
+            let neighbor_count = neighbors.len();
+            if needs_two_hop {
+                self.in_range(now, sender, &mut sender_neighbors);
             } else {
-                // Sharded runs answer oracle views with the strip scan —
-                // byte-identical to the grid query, without the O(hosts)
-                // grid re-index per timestamp.
-                self.in_range_strips(now, node, &mut neighbors);
-                let neighbor_count = neighbors.len();
-                if needs_two_hop {
-                    self.in_range_strips(now, sender, &mut sender_neighbors);
-                } else {
-                    neighbors.clear();
-                }
-                Some(OracleView {
-                    neighbor_count,
-                    neighbors: &neighbors,
-                    sender_neighbors: &sender_neighbors,
-                })
+                neighbors.clear();
             }
+            Some(OracleView {
+                neighbor_count,
+                neighbors: &neighbors,
+                sender_neighbors: &sender_neighbors,
+            })
         } else {
             None
         };

@@ -15,7 +15,8 @@
 //!   scheme thresholds, the compiled scenario timeline — all re-derived
 //!   from the [`SimConfig`] the caller passes to [`World::resume`];
 //! * scratch buffers and recycling pools (capacity caches only);
-//! * position/grid caches (`snap_at`/`grid_at` are invalidated);
+//! * position caches and spatial indexes (`snap_at`/`grid_at` and the
+//!   strip index are invalidated);
 //! * the action recorder and the event-loop profiler.
 //!
 //! The stream opens with a length-prefixed **config fingerprint**:
@@ -248,12 +249,15 @@ impl World {
             decode_mobility(&mut dec, &mut node.mobility)?;
         }
         // Motion segments are a dense cache over the mobility models;
-        // re-derive them and drop the position/grid caches.
+        // re-derive them and drop the position caches and the indexes
+        // built over them: a sync made before the restore describes the
+        // fresh world's trajectories, not the restored ones.
         for (seg, node) in world.segments.iter_mut().zip(&world.nodes) {
             *seg = node.mobility.segment();
         }
         world.snap_at = None;
         world.grid_at = None;
+        world.index.invalidate();
 
         world.medium.restore_snapshot(&mut dec)?;
 

@@ -6,9 +6,10 @@
 //! equality.
 //!
 //! Also pins the `advance_until` pause boundary: a pause time equal to a
-//! queued event's timestamp stops **strictly before** that event fires.
+//! queued event's timestamp stops **strictly before** that event fires,
+//! and a resume between two syncs of the range index.
 
-use broadcast_core::trace::NoopObserver;
+use broadcast_core::trace::{NoopObserver, SimObserver, TraceEvent};
 use broadcast_core::{
     AreaThreshold, ChurnKind, CounterThreshold, NeighborInfo, Scenario, SchemeSpec, SimConfig,
     World,
@@ -167,5 +168,66 @@ fn pause_exactly_at_event_time_excludes_the_event() {
 
     let baseline = report_string(churn_config(1));
     let resumed = World::resume(churn_config(1), &at_event.snapshot()).expect("snapshot resumes");
+    assert_eq!(baseline, format!("{:?}", resumed.run()));
+}
+
+/// Range-query instants of a run: every frame start (the listener set)
+/// and every decoded frame end (the hearers' oracle neighbor views).
+#[derive(Default)]
+struct QueryTimes(Vec<SimTime>);
+
+impl SimObserver for QueryTimes {
+    fn event(&mut self, event: &TraceEvent) {
+        match event {
+            TraceEvent::FrameStarted { at, .. } => self.0.push(*at),
+            TraceEvent::FrameFinished { at, decoded, .. } if *decoded > 0 => self.0.push(*at),
+            _ => {}
+        }
+    }
+}
+
+/// The default executor's strip index syncs lazily, on the first range
+/// query one sync interval after the previous sync. A checkpoint taken
+/// mid-interval — here the first query at least 0.4 s after a sync, with
+/// the next sync still ahead — must resume byte-identically: the resumed
+/// world drops every sync it inherited and re-syncs on its first query.
+#[test]
+fn resume_between_index_syncs_matches_the_uninterrupted_run() {
+    let make = || {
+        SimConfig::builder(
+            8,
+            SchemeSpec::AdaptiveCounter(CounterThreshold::paper_recommended()),
+        )
+        .hosts(1000)
+        .broadcasts(6)
+        .max_interarrival(SimDuration::from_millis(500))
+        .neighbor_info(NeighborInfo::Oracle)
+        .seed(23)
+        .build()
+    };
+    let mut queries = QueryTimes::default();
+    let baseline = format!("{:?}", World::new(make()).run_observed(&mut queries));
+
+    // Replay the lazy sync rule over the query instants and pause on the
+    // first query 0.4 s into a sync interval.
+    let interval = manet_phy::STRIP_SYNC_INTERVAL;
+    let mut synced_at: Option<SimTime> = None;
+    let mut pause_at = None;
+    for &at in &queries.0 {
+        match synced_at {
+            Some(sync) if at < sync + interval => {
+                if at >= sync + SimDuration::from_millis(400) {
+                    pause_at = Some(at);
+                    break;
+                }
+            }
+            _ => synced_at = Some(at),
+        }
+    }
+    let pause_at = pause_at.expect("some range query lands 0.4 s into a sync interval");
+
+    let mut world = World::new(make());
+    assert!(!world.advance_until(pause_at, &mut NoopObserver));
+    let resumed = World::resume(make(), &world.snapshot()).expect("snapshot resumes");
     assert_eq!(baseline, format!("{:?}", resumed.run()));
 }

@@ -32,12 +32,12 @@ fn usage() -> &'static str {
      \x20                              normalize (fig05 = fig5 = fig5a-fig5d)\n\
      \x20 --metrics FILE               write per-run counters and histograms\n\
      \x20                              as JSON (schema manet-broadcast-metrics/1)\n\
-     \x20 --shards N                   spatial strips per world (default 1);\n\
-     \x20                              execution-only: results are bit-identical\n\
+     \x20 --shards N                   strips per world for --parallel-epochs\n\
+     \x20                              (default 1); changes nothing without it\n\
      \x20 --parallel-epochs            drain shard queues concurrently in\n\
      \x20                              carrier-sense-bounded epochs; counts are\n\
      \x20                              equivalent but byte-identity is waived\n\
-     \x20 --workers N                  pool threads for sharded execution\n\
+     \x20 --workers N                  pool threads for --parallel-epochs\n\
      \x20                              (default: cores - 1; 0 = inline);\n\
      \x20                              execution-only, never changes results\n\
      \x20 --list                       list available figures and exit\n"

@@ -214,9 +214,9 @@ struct CaptureState {
 /// because `run_grid` fans runs out over worker threads.
 static METRICS_SINK: Mutex<Option<CaptureState>> = Mutex::new(None);
 
-/// Execution-only shard-count override applied by [`run_averaged`]
-/// (0 = none). Sharded execution is bit-identical to sequential, so this
-/// knob changes wall time, never results — which is why a process-wide
+/// Shard-count override applied by [`run_averaged`] (0 = none). The
+/// shard count only partitions the epoch-parallel executor; without it
+/// results are bit-identical for any count, which is why a process-wide
 /// atomic is safe even with figure sweeps running concurrently.
 static SHARDS_OVERRIDE: std::sync::atomic::AtomicU32 = std::sync::atomic::AtomicU32::new(0);
 

@@ -6,8 +6,9 @@
 //! [topology queries](reachable_from).
 //!
 //! The medium is a pure state machine — it never looks at positions. The
-//! simulation wiring evaluates host positions at each event, derives the
-//! listener set with [`in_range_of`], and drives
+//! simulation wiring asks the [`StripIndex`] who is in range of a
+//! transmitter (the exact answer of [`in_range_of`], without scanning
+//! every host), and drives
 //! [`Medium::begin_transmission`] / [`Medium::end_transmission`]. This
 //! split keeps the collision model independently testable (including the
 //! hidden-terminal and half-duplex cases of paper §2.2.3).
@@ -40,6 +41,7 @@ mod grid;
 mod id;
 mod medium;
 mod shard;
+mod strip_index;
 mod topology;
 
 pub use grid::NeighborGrid;
@@ -49,4 +51,5 @@ pub use medium::{
     TxStart,
 };
 pub use shard::ShardMap;
+pub use strip_index::{StripIndex, STRIP_SYNC_INTERVAL};
 pub use topology::{components, in_range, in_range_into, in_range_of, reachable_from};

@@ -40,14 +40,15 @@ options:
   --per-broadcast FILE  write per-broadcast outcomes as CSV
   --metrics FILE        write run counters and histograms as JSON
                         (schema manet-broadcast-metrics/1)
-  --shards N            spatial strips for sharded execution (default 1;
-                        clamped so every strip spans >= one radio radius;
-                        results are bit-identical for any N)
+  --shards N            strips the map is cut into for --parallel-epochs
+                        (default 1; clamped so every strip spans >= one
+                        radio radius); without --parallel-epochs it
+                        changes nothing
   --parallel-epochs     drain the shard queues concurrently in epochs
                         bounded by the carrier-sense horizon; same
                         decisions and counts as sequential, but event
                         interleaving (and so byte-identity) is waived
-  --workers N           pool threads for sharded execution (default:
+  --workers N           pool threads for --parallel-epochs (default:
                         cores - 1, capped by the shard count; 0 forces
                         inline); execution-only, never changes results
   --profile             measure event-loop wall time per event kind
