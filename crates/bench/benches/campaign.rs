@@ -4,7 +4,7 @@
 //!
 //! One iteration of the scheduler benches runs a whole campaign of
 //! small jobs through [`run_campaign`] into a sink — admission, the
-//! worker-pool fan-out, metrics rendering, and MCMP framing included.
+//! job fan-out, metrics rendering, and MCMP framing included.
 //! `BENCH_campaign.json` at the workspace root records the trajectory;
 //! `BENCH_campaign_baseline.json` is the `bench_gate` reference.
 
@@ -14,7 +14,7 @@ use std::sync::Mutex;
 use broadcast_core::CancelToken;
 use manet_bench::harness::Suite;
 use manet_campaign::{run_campaign, CampaignQueue, FrameWriter, JobEnvelope, QueuedCampaign};
-use manet_sim_engine::{WireEncoder, WorkerPool};
+use manet_sim_engine::WireEncoder;
 
 /// The scheduler workload: small jobs (the sweep shape campaigns are
 /// for), all valid, cycling seeds so no two jobs share an RNG stream.
@@ -41,7 +41,6 @@ fn scheduler_throughput(s: &mut Suite) {
         ("campaign/sched_50jobs_inline", 0usize),
         ("campaign/sched_50jobs_2workers", 2),
     ] {
-        let pool = WorkerPool::new(workers);
         let jobs = small_jobs(50);
         s.bench(name, move || {
             let campaign = QueuedCampaign {
@@ -51,7 +50,7 @@ fn scheduler_throughput(s: &mut Suite) {
                 cancel: CancelToken::new(),
             };
             let writer = Mutex::new(FrameWriter::new(std::io::sink()).expect("sink header"));
-            let counts = run_campaign(&campaign, &pool, &writer).expect("sink write");
+            let counts = run_campaign(&campaign, workers, &writer).expect("sink write");
             assert_eq!(counts.completed, 50);
             black_box(counts)
         });

@@ -36,66 +36,32 @@ fn storm(s: &mut Suite, name: &str, scheme: SchemeSpec) {
 /// about the event loop rather than HELLO parsing, and fewer broadcasts
 /// keep one iteration in the same ballpark as the 100-host runs.
 fn large_storm(s: &mut Suite) {
-    for shards in [1u32, 4] {
-        let name = if shards == 1 {
-            "world/counter_c3_5x5_1000hosts"
-        } else {
-            "world/counter_c3_5x5_1000hosts_4shards"
-        };
-        s.bench(name, move || {
-            let config = SimConfig::builder(5, SchemeSpec::Counter(3))
-                .hosts(1_000)
-                .broadcasts(4)
-                .neighbor_info(broadcast_core::NeighborInfo::Oracle)
-                .seed(11)
-                .shards(shards)
-                .build();
-            let report = World::new(config).run();
-            black_box((report.data_frames, report.collisions))
-        });
-    }
+    s.bench("world/counter_c3_5x5_1000hosts", || {
+        let config = SimConfig::builder(5, SchemeSpec::Counter(3))
+            .hosts(1_000)
+            .broadcasts(4)
+            .neighbor_info(broadcast_core::NeighborInfo::Oracle)
+            .seed(11)
+            .build();
+        let report = World::new(config).run();
+        black_box((report.data_frames, report.collisions))
+    });
 }
 
 /// 10⁴ hosts on the 10×10 map (a wide map, so the strip index narrows
 /// the geometry window). Same seed/scheme discipline as the 1000-host
-/// point. Four entries bracket the executors: the default, `--shards 8`
-/// alone (which changes nothing without parallel epochs; the entry is
-/// kept so `bench_gate` still pairs it with its baseline), 8 strips
-/// drained in parallel epochs (`--parallel-epochs`) on the auto-detected
-/// pool, and the same run pinned to 2 workers.
+/// point.
 fn huge_storm(s: &mut Suite) {
-    for (name, shards, parallel, workers) in [
-        ("world/counter_c3_10x10_10000hosts", 1u32, false, None),
-        (
-            "world/counter_c3_10x10_10000hosts_8shards_lockstep",
-            8,
-            false,
-            None,
-        ),
-        ("world/counter_c3_10x10_10000hosts_8shards", 8, true, None),
-        (
-            "world/counter_c3_10x10_10000hosts_8shards_2workers",
-            8,
-            true,
-            Some(2u32),
-        ),
-    ] {
-        s.bench(name, move || {
-            let mut builder = SimConfig::builder(10, SchemeSpec::Counter(3))
-                .hosts(10_000)
-                .broadcasts(2)
-                .neighbor_info(broadcast_core::NeighborInfo::Oracle)
-                .seed(11)
-                .shards(shards)
-                .parallel_epochs(parallel);
-            if let Some(workers) = workers {
-                builder = builder.workers(workers);
-            }
-            let config = builder.build();
-            let report = World::new(config).run();
-            black_box((report.data_frames, report.collisions))
-        });
-    }
+    s.bench("world/counter_c3_10x10_10000hosts", || {
+        let config = SimConfig::builder(10, SchemeSpec::Counter(3))
+            .hosts(10_000)
+            .broadcasts(2)
+            .neighbor_info(broadcast_core::NeighborInfo::Oracle)
+            .seed(11)
+            .build();
+        let report = World::new(config).run();
+        black_box((report.data_frames, report.collisions))
+    });
 }
 
 fn main() {

@@ -10,8 +10,8 @@
 //!   progress ticks / metrics documents out.
 //! * [`queue`] — bounded whole-campaign admission with cancellation
 //!   tokens that reach both queued and running campaigns.
-//! * [`scheduler`] — the work-stealing fan-out over the sim-engine
-//!   [`WorkerPool`](manet_sim_engine::WorkerPool); per-job results are
+//! * [`scheduler`] — the work-stealing job fan-out (sim-engine's
+//!   [`fan_out`](manet_sim_engine::fan_out)); per-job results are
 //!   byte-identical to one-shot CLI runs for any worker count.
 //! * [`server`] / [`client`] — the session loops behind
 //!   `manet-sim serve` and `manet-client`.

@@ -1,9 +1,9 @@
 //! Work-stealing campaign scheduler.
 //!
-//! Jobs are index-addressed into the sim-engine [`WorkerPool`]: the
-//! pool's shared claim cursor *is* the work-stealing — whichever worker
-//! frees up first claims the next unstarted job, so a long job never
-//! blocks the queue behind it. Every job is itself a deterministic
+//! Jobs are index-addressed into the sim-engine [`fan_out`]: its shared
+//! claim cursor *is* the work-stealing — whichever thread frees up first
+//! claims the next unstarted job, so a long job never blocks the queue
+//! behind it. Every job is itself a deterministic
 //! simulation, which makes results placement-invariant: the per-job
 //! metrics bytes are identical for any worker count, only the completion
 //! (and therefore streaming) order varies.
@@ -23,7 +23,7 @@ use std::sync::Mutex;
 
 use broadcast_core::trace::NoopObserver;
 use broadcast_core::{CancelToken, Scenario, SchemeSpec, SimConfig, World};
-use manet_sim_engine::{SimDuration, WorkerPool};
+use manet_sim_engine::{fan_out, SimDuration};
 
 use crate::mcmp::{CampaignCounts, Frame, FrameWriter, JobEnvelope};
 use crate::queue::QueuedCampaign;
@@ -112,18 +112,19 @@ fn execute_job(job: &JobEnvelope, cancel: &CancelToken) -> JobOutcome {
     JobOutcome::Completed(json)
 }
 
-/// Runs a campaign across the pool, streaming results into `writer`.
+/// Runs a campaign on the calling thread plus `workers` scoped threads
+/// (`0` runs every job inline), streaming results into `writer`.
 /// Returns the final counters (also already streamed as the summary's
 /// contents — the caller writes the [`Frame::Summary`] so it can order
 /// it after its own bookkeeping).
 ///
 /// # Errors
 ///
-/// The first transport error, after the pool has quiesced. Jobs that
+/// The first transport error, after every thread has stopped. Jobs that
 /// finished after the error are counted but not streamed.
 pub fn run_campaign<W: Write + Send>(
     campaign: &QueuedCampaign,
-    pool: &WorkerPool,
+    workers: usize,
     writer: &Mutex<FrameWriter<W>>,
 ) -> io::Result<CampaignCounts> {
     let counts = Mutex::new(CampaignCounts {
@@ -136,7 +137,7 @@ pub fn run_campaign<W: Write + Send>(
     // closed pipe.
     let abort = AtomicBool::new(false);
 
-    pool.run(campaign.jobs.len(), &|index| {
+    fan_out(campaign.jobs.len(), workers, |index| {
         let job = &campaign.jobs[index];
         if campaign.cancel.is_cancelled() || abort.load(Ordering::Acquire) {
             let mut c = counts.lock().unwrap_or_else(|e| e.into_inner());
@@ -279,9 +280,8 @@ mod tests {
     fn campaign_streams_metrics_and_monotone_ticks() {
         let jobs: Vec<_> = (0..6).map(|i| envelope(&format!("j{i}"), i)).collect();
         let campaign = campaign(jobs);
-        let pool = WorkerPool::new(2);
         let writer = Mutex::new(FrameWriter::new(Vec::new()).unwrap());
-        let counts = run_campaign(&campaign, &pool, &writer).unwrap();
+        let counts = run_campaign(&campaign, 2, &writer).unwrap();
         assert_eq!((counts.total, counts.completed), (6, 6));
         let frames = stream_frames(&writer.into_inner().unwrap().into_inner());
         let mut seen = CampaignCounts::default();
@@ -312,9 +312,8 @@ mod tests {
                 ..envelope("bad", 2)
             },
         ]);
-        let pool = WorkerPool::new(0);
         let writer = Mutex::new(FrameWriter::new(Vec::new()).unwrap());
-        let counts = run_campaign(&campaign, &pool, &writer).unwrap();
+        let counts = run_campaign(&campaign, 0, &writer).unwrap();
         assert_eq!((counts.completed, counts.failed), (1, 1));
         let frames = stream_frames(&writer.into_inner().unwrap().into_inner());
         assert!(frames.iter().any(|f| matches!(
@@ -327,9 +326,8 @@ mod tests {
     fn pre_cancelled_campaign_runs_nothing() {
         let campaign = campaign((0..5).map(|i| envelope(&format!("j{i}"), i)).collect());
         campaign.cancel.cancel();
-        let pool = WorkerPool::new(2);
         let writer = Mutex::new(FrameWriter::new(Vec::new()).unwrap());
-        let counts = run_campaign(&campaign, &pool, &writer).unwrap();
+        let counts = run_campaign(&campaign, 2, &writer).unwrap();
         assert_eq!((counts.cancelled, counts.completed), (5, 0));
         let frames = stream_frames(&writer.into_inner().unwrap().into_inner());
         assert!(frames.is_empty(), "no result frames for cancelled jobs");

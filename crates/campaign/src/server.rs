@@ -6,10 +6,10 @@
 //! loops share the session: a reader thread that admits submissions into
 //! the [`CampaignQueue`] (answering `Accepted`/`Rejected` immediately,
 //! even while earlier campaigns are still running), and the scheduler
-//! loop that pops campaigns and fans their jobs across one shared
-//! [`WorkerPool`]. The frame writer is the only shared output and is
-//! mutex-ordered, so admission replies interleave with streamed results
-//! at frame granularity.
+//! loop that pops campaigns and fans each one's jobs out over
+//! [`ServerConfig::workers`] scoped threads. The frame writer is the
+//! only shared output and is mutex-ordered, so admission replies
+//! interleave with streamed results at frame granularity.
 //!
 //! Sessions end when the client sends `Shutdown` or closes its write
 //! side; either way the backlog drains first (a client that wants to
@@ -18,8 +18,6 @@
 use std::io::{self, Read, Write};
 use std::sync::Mutex;
 
-use manet_sim_engine::WorkerPool;
-
 use crate::mcmp::{CampaignCounts, Frame, FrameReader, FrameWriter};
 use crate::queue::CampaignQueue;
 use crate::scheduler::run_campaign;
@@ -27,9 +25,10 @@ use crate::scheduler::run_campaign;
 /// Tuning knobs for [`serve`].
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
-    /// Pool threads for the scheduler. `None` auto-detects
-    /// (`available_parallelism - 1`, so the scheduler thread keeps a
-    /// core); `Some(0)` runs jobs inline on the scheduler thread.
+    /// Threads that run jobs beside the scheduler thread, which runs
+    /// jobs too. `None` auto-detects (`available_parallelism - 1`, so
+    /// the scheduler thread's core is counted); `Some(0)` runs jobs
+    /// inline on the scheduler thread.
     pub workers: Option<usize>,
     /// Maximum queued (not yet running) jobs across all campaigns.
     pub queue_capacity: usize,
@@ -45,7 +44,7 @@ impl Default for ServerConfig {
 }
 
 impl ServerConfig {
-    fn pool_threads(&self) -> usize {
+    fn worker_threads(&self) -> usize {
         self.workers.unwrap_or_else(|| {
             std::thread::available_parallelism().map_or(0, |n| n.get().saturating_sub(1))
         })
@@ -134,13 +133,13 @@ fn reader_loop<W: Write + Send>(
 #[cfg_attr(simlint, serve_loop)]
 fn scheduler_loop<W: Write + Send>(
     queue: &CampaignQueue,
-    pool: &WorkerPool,
+    workers: usize,
     writer: &Mutex<FrameWriter<W>>,
 ) -> io::Result<(u64, CampaignCounts)> {
     let mut campaigns = 0u64;
     let mut jobs = CampaignCounts::default();
     while let Some(campaign) = queue.pop() {
-        let result = run_campaign(&campaign, pool, writer);
+        let result = run_campaign(&campaign, workers, writer);
         queue.finish(campaign.id);
         let counts = match result {
             Ok(counts) => counts,
@@ -177,13 +176,13 @@ pub fn serve(
     output: impl Write + Send,
     config: &ServerConfig,
 ) -> io::Result<ServeSummary> {
-    let pool = WorkerPool::new(config.pool_threads());
+    let workers = config.worker_threads();
     let queue = CampaignQueue::new(config.queue_capacity);
     let writer = Mutex::new(FrameWriter::new(output)?);
 
     let (reader_result, scheduler_result) = std::thread::scope(|scope| {
         let reader = scope.spawn(|| reader_loop(input, &queue, &writer));
-        let scheduled = scheduler_loop(&queue, &pool, &writer);
+        let scheduled = scheduler_loop(&queue, workers, &writer);
         // The scheduler only exits once the queue closed, which only the
         // reader loop does — so this join does not hang.
         (reader.join().expect("session reader panicked"), scheduled)

@@ -9,7 +9,6 @@ use std::sync::Mutex;
 
 use broadcast_core::{CancelToken, SchemeSpec, SimConfig, World};
 use manet_campaign::{run_campaign, Frame, FrameReader, FrameWriter, JobEnvelope, QueuedCampaign};
-use manet_sim_engine::WorkerPool;
 
 const SCHEMES: &[&str] = &["flooding", "counter:3", "distance:250", "ac", "al", "nc"];
 
@@ -30,7 +29,7 @@ fn fifty_jobs() -> Vec<JobEnvelope> {
         .collect()
 }
 
-/// Runs the campaign on a pool of `workers` threads and returns
+/// Runs the campaign on `workers` threads beside the caller and returns
 /// label → streamed metrics bytes, asserting every job completed.
 fn run_with_workers(jobs: &[JobEnvelope], workers: usize) -> BTreeMap<String, Vec<u8>> {
     let campaign = QueuedCampaign {
@@ -39,9 +38,8 @@ fn run_with_workers(jobs: &[JobEnvelope], workers: usize) -> BTreeMap<String, Ve
         jobs: jobs.to_vec(),
         cancel: CancelToken::new(),
     };
-    let pool = WorkerPool::new(workers);
     let writer = Mutex::new(FrameWriter::new(Vec::new()).expect("header"));
-    let counts = run_campaign(&campaign, &pool, &writer).expect("run campaign");
+    let counts = run_campaign(&campaign, workers, &writer).expect("run campaign");
     assert_eq!(counts.completed, jobs.len() as u64, "{workers} workers");
     assert_eq!(counts.failed, 0);
     assert_eq!(counts.cancelled, 0);

@@ -137,31 +137,14 @@ pub struct SimConfig {
     /// into world events (see the `manet-scenario` crate). `None`
     /// reproduces the paper's fault-free fixed population.
     pub scenario: Option<Scenario>,
-    /// Number of spatial shards the world executor splits the map into
-    /// (default 1 = the plain sequential run). Shards are vertical strips
-    /// at least one radio radius wide; requests past the feasible maximum
-    /// are clamped, not rejected. Results are bit-identical for every
-    /// shard count — this is purely an execution-strategy knob, which is
-    /// also why it is **excluded** from the snapshot fingerprint: a run
-    /// snapshotted at 4 shards resumes at 1 (and vice versa).
+    /// Always 1; [`validate`](Self::validate) rejects any other value.
+    /// A leftover of the removed sharded executor that the benchmark
+    /// still reads; removed with the next benchmark change.
     pub shards: u32,
-    /// Opt into the epoch-parallel executor: shard queues drain their
-    /// `MacTimer` events concurrently inside safety epochs bounded by the
-    /// carrier-sense delay, with cross-strip effects merged at the epoch
-    /// barrier. Trades byte-identity with the sequential run for
-    /// *verified equivalence* (see DESIGN.md §14). Ignored (quiet
-    /// sequential fallback) when `shards` resolves to 1 or `cs_delay` is
-    /// zero. Like `shards`, this is an execution-strategy knob excluded
-    /// from the snapshot fingerprint.
+    /// Always `false`; [`validate`](Self::validate) rejects `true`. A
+    /// leftover of the removed epoch-parallel executor that the benchmark
+    /// still reads; removed with the next benchmark change.
     pub parallel_epochs: bool,
-    /// Worker-thread override for the sharded executors' pool. `None`
-    /// auto-detects (`available_parallelism - 1`, capped by the shard
-    /// count); `Some(0)` forces inline execution; `Some(n)` asks for `n`
-    /// pool threads even on a box with fewer cores (oversubscription is
-    /// allowed — useful for exercising the concurrent paths on small
-    /// hosts). Purely an execution-strategy knob: results are unaffected,
-    /// and like `shards` it is **excluded** from the snapshot fingerprint.
-    pub workers: Option<u32>,
 }
 
 impl SimConfig {
@@ -192,7 +175,6 @@ impl SimConfig {
                 scenario: None,
                 shards: 1,
                 parallel_epochs: false,
-                workers: None,
             },
         }
     }
@@ -256,8 +238,8 @@ impl SimConfig {
                 .validate(self.hosts)
                 .map_err(|e| format!("scenario: {e}"))?;
         }
-        if self.shards == 0 {
-            return Err("need at least one shard".into());
+        if self.shards != 1 || self.parallel_epochs {
+            return Err("one executor only: shards must be 1, parallel_epochs false".into());
         }
         if let PlacementSpec::Line { spacing_m } = self.placement {
             let length = f64::from(spacing_m) * f64::from(self.hosts - 1);
@@ -391,29 +373,6 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Number of spatial shards for the world executor (default 1;
-    /// clamped at run time so every strip stays at least one radio radius
-    /// wide). Any value produces bit-identical results.
-    pub fn shards(mut self, shards: u32) -> Self {
-        self.config.shards = shards;
-        self
-    }
-
-    /// Enables the epoch-parallel executor (default off; requires more
-    /// than one effective shard and a nonzero carrier-sense delay to take
-    /// effect). See [`SimConfig::parallel_epochs`].
-    pub fn parallel_epochs(mut self, enabled: bool) -> Self {
-        self.config.parallel_epochs = enabled;
-        self
-    }
-
-    /// Worker-thread override for the sharded executors' pool (default:
-    /// auto-detect). See [`SimConfig::workers`].
-    pub fn workers(mut self, workers: u32) -> Self {
-        self.config.workers = Some(workers);
-        self
-    }
-
     /// Broadcast payload size in bytes (default 280).
     pub fn packet_bytes(mut self, bytes: usize) -> Self {
         self.config.packet_bytes = bytes;
@@ -469,6 +428,17 @@ mod tests {
         assert!(c.validate().is_err());
         c.drop_probability = 0.0;
         c.hosts = 0;
+        assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn validation_rejects_any_executor_but_the_sequential_one() {
+        let mut c = SimConfig::builder(3, SchemeSpec::Flooding).build();
+        assert!(c.validate().is_ok());
+        c.shards = 4;
+        assert!(c.validate().is_err());
+        c.shards = 1;
+        c.parallel_epochs = true;
         assert!(c.validate().is_err());
     }
 

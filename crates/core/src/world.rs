@@ -22,13 +22,10 @@ use manet_mobility::{
     RandomWaypoint, RandomWaypointParams, Segment, Stationary,
 };
 use manet_net::HelloPayload;
-use manet_phy::{
-    CarrierChange, Delivery, FrameId, Medium, NeighborGrid, NodeId, ShardMap, StripIndex,
-};
+use manet_phy::{CarrierChange, Delivery, FrameId, Medium, NeighborGrid, NodeId, StripIndex};
 use manet_scenario::{Region, WorldAction};
 use manet_sim_engine::{
-    EventKey, EventQueue, LoopProfiler, ShardDelta, SimDuration, SimRng, SimTime, Slab, Timeline,
-    WorkerPool,
+    EventKey, EventQueue, LoopProfiler, SimDuration, SimRng, SimTime, Slab, Timeline,
 };
 
 use crate::config::{NeighborInfo, SimConfig};
@@ -232,126 +229,6 @@ impl ScenarioState {
     }
 }
 
-/// A `BeginTx` surfaced by a shard drain, deferred to the epoch barrier.
-/// `seq` is the global sequence stamp of the timer event that produced it:
-/// the barrier executes deferred transmissions in `(time, seq)` order
-/// (globally unique stamps, so the shard index never has to break a tie),
-/// which is exactly where the sequential executor would have placed them.
-#[derive(Debug, Clone, Copy)]
-struct DeferredTx {
-    time: SimTime,
-    seq: u64,
-    node: NodeId,
-    handle: FrameHandle,
-    payload_bytes: usize,
-}
-
-/// Unsafe shared-mutable slice for handing disjoint elements of one
-/// buffer to concurrent pool jobs. Every access site must guarantee
-/// disjointness; the epoch executor's is the single-live-timer invariant
-/// (each node's pending MAC timer lives in exactly one shard queue, so no
-/// two drains ever touch the same node).
-struct SharedSliceMut<T>(*mut T, usize);
-
-unsafe impl<T: Send> Sync for SharedSliceMut<T> {}
-
-impl<T> SharedSliceMut<T> {
-    fn new(slice: &mut [T]) -> Self {
-        SharedSliceMut(slice.as_mut_ptr(), slice.len())
-    }
-
-    /// Pointer to element `i`.
-    ///
-    /// # Safety
-    ///
-    /// The caller must ensure no two concurrent users dereference the
-    /// same index.
-    unsafe fn get(&self, i: usize) -> *mut T {
-        debug_assert!(i < self.1, "index {i} out of bounds ({})", self.1);
-        unsafe { self.0.add(i) }
-    }
-}
-
-/// One shard's epoch drain: pop MAC timers strictly below `limit`, step
-/// the owning MACs, re-arm timers into the *same* queue, and defer every
-/// `BeginTx` to the barrier. Runs concurrently with the other shards'
-/// drains — the `epoch_shard` lint fences it from the global RNGs, the
-/// `Medium`, and the global `event_seq` counter, whose ownership stays
-/// with the barrier. Re-armed timers are stamped `base_seq + j·shards + s`
-/// so stamps are unique across shards and strictly increasing within the
-/// queue without touching shared state.
-#[cfg_attr(simlint, epoch_shard)]
-#[allow(clippy::too_many_arguments)]
-fn drain_shard_epoch(
-    s: usize,
-    shards: u64,
-    base_seq: u64,
-    limit: (SimTime, u64),
-    queue: &mut EventQueue<Event>,
-    nodes: &SharedSliceMut<Node>,
-    pending: &SharedSliceMut<Option<(u32, EventKey)>>,
-    node_epochs: Option<&[u32]>,
-    delta: &mut ShardDelta,
-    out: &mut Vec<DeferredTx>,
-) {
-    let mut rearmed = 0u64;
-    while queue.peek_key().is_some_and(|key| key < limit) {
-        let (now, seq, event) = queue.pop_entry().expect("peeked event vanished");
-        let Event::MacTimer {
-            node,
-            generation,
-            epoch,
-        } = event
-        else {
-            unreachable!("shard queues hold only MacTimer events");
-        };
-        delta.events += 1;
-        delta.last_event_at = Some(now);
-        if epoch != node_epochs.map_or(0, |epochs| epochs[node.index()]) {
-            // Outlived its MAC; its pending slot was cleared (and the key
-            // cancelled) at deactivation, so leave the slot alone.
-            continue;
-        }
-        // SAFETY: the single-live-timer invariant — this node's live
-        // timer was in *this* queue, so no concurrent drain touches its
-        // MAC or pending slot.
-        let slot = unsafe { &mut *pending.get(node.index()) };
-        *slot = None;
-        let mac = unsafe { &mut (*nodes.get(node.index())).mac };
-        match mac.on_timer(generation, now) {
-            None => {}
-            Some(MacAction::StartTimer { delay, generation }) => {
-                let stamp = base_seq + rearmed * shards + s as u64;
-                rearmed += 1;
-                delta.rescheduled += 1;
-                let key = queue.schedule_seq(
-                    now + delay,
-                    stamp,
-                    Event::MacTimer {
-                        node,
-                        generation,
-                        epoch,
-                    },
-                );
-                *slot = Some((s as u32, key));
-            }
-            Some(MacAction::BeginTx {
-                handle,
-                payload_bytes,
-            }) => {
-                delta.deferred += 1;
-                out.push(DeferredTx {
-                    time: now,
-                    seq,
-                    node,
-                    handle,
-                    payload_bytes,
-                });
-            }
-        }
-    }
-}
-
 /// A complete simulation run.
 ///
 /// # Examples
@@ -373,24 +250,6 @@ pub struct World {
     cfg: SimConfig,
     map: Map,
     queue: EventQueue<Event>,
-    /// Epoch-parallel runs only: one event queue per `--shards` strip,
-    /// holding only [`Event::MacTimer`] — the dominant event kind, routed
-    /// by the scheduling host's strip. Empty on every other run, where
-    /// everything stays on `queue`. All queues share the global
-    /// [`Self::event_seq`] counter.
-    shard_queues: Vec<EventQueue<Event>>,
-    /// Global event sequence counter stamping every scheduled event across
-    /// the control queue and all shard queues. Assigned in schedule order,
-    /// exactly as a single queue's internal counter would, so the merged
-    /// image of all queues (what a snapshot stores) is the single-queue
-    /// one.
-    event_seq: u64,
-    /// The `--shards` partition of the map's x-axis (strips ≥ one radio
-    /// radius wide) that the epoch executor's queues follow.
-    shard_map: ShardMap,
-    /// Epoch-parallel runs only: the `shard_map` strip owning each host,
-    /// re-derived at every sync of `index`.
-    strip_of_host: Vec<u32>,
     /// The one answer to "who hears whom" for every range query.
     index: StripIndex,
     nodes: Vec<Node>,
@@ -475,33 +334,6 @@ pub struct World {
     /// Churn and fault-injection state; `None` unless the config carries
     /// a scenario.
     scenario: Option<ScenarioState>,
-    /// Persistent worker pool for the epoch-parallel shard advance. Sized
-    /// once at construction; zero workers (inline execution) on
-    /// single-core hosts or runs without parallel epochs.
-    pool: WorkerPool,
-    /// `true` when this run uses the epoch-parallel executor: the config
-    /// opted in **and** the strip partition is real **and** the
-    /// carrier-sense delay (the safety horizon) is nonzero.
-    epoch_par: bool,
-    /// Parallel mode only: per-node `(queue index, key)` of the node's
-    /// single live MAC timer, `None` when no timer is pending. Lets the
-    /// control phase cancel timers the MAC has invalidated (busy-freeze,
-    /// deactivation) instead of delivering them stale — which is also
-    /// what makes concurrent drains sound: every live timer of a node
-    /// sits in exactly one queue, so no two drains touch the same node.
-    pending_timer: Vec<Option<(u32, EventKey)>>,
-    /// Per-shard buffers of transmissions surfaced during the current
-    /// epoch's drains, merged at the barrier. Kept allocated across
-    /// epochs.
-    shard_tx: Vec<Vec<DeferredTx>>,
-    /// Scratch for the barrier's `(time, seq)`-sorted merge of
-    /// `shard_tx`.
-    epoch_tx_scratch: Vec<DeferredTx>,
-    /// Per-shard drain tallies, merged into the profiler at each barrier.
-    shard_deltas: Vec<ShardDelta>,
-    /// Number of parallel epochs executed (diagnostics; lets tests assert
-    /// the parallel path actually ran).
-    epochs: u64,
 }
 
 impl World {
@@ -613,53 +445,19 @@ impl World {
 
         let pure = PureModels::new(&config);
 
-        // The range index is sized from the map and the radio alone. It
-        // syncs lazily on its first query, except under the epoch
-        // executor, whose queue routing follows the index syncs and keeps
-        // its historical schedule: synced to the placement at time zero.
-        // RandomWaypoint floors its speed at 3.6 km/h, so the drift bound
-        // must too; overestimating only widens query windows, never
-        // changes results.
-        let mut index = StripIndex::new(
+        // The range index is sized from the map and the radio alone and
+        // syncs lazily on its first query. RandomWaypoint floors its
+        // speed at 3.6 km/h, so the drift bound must too; overestimating
+        // only widens query windows, never changes results.
+        let index = StripIndex::new(
             map.bounds().width(),
             config.radio_radius,
             config.effective_max_speed_kmh().max(3.6) / 3.6,
         );
-        let shard_map = ShardMap::new(map.bounds().width(), config.radio_radius, config.shards);
-        let shards = shard_map.shards();
-        let epoch_par = config.parallel_epochs && shards > 1 && !config.cs_delay.is_zero();
-        // Construction scheduling above used the queue's internal counter;
-        // the world-owned global counter picks up exactly where it left
-        // off, so sequence numbers are identical to a single-queue run.
-        let event_seq = queue.counters().1;
-        let mut shard_queues = Vec::new();
-        let mut strip_of_host = Vec::new();
-        if epoch_par {
-            shard_queues.resize_with(shards, EventQueue::new);
-            index.sync(SimTime::ZERO, &positions);
-            strip_of_host.extend(positions.iter().map(|p| shard_map.shard_of_x(p.x) as u32));
-        }
-        // One worker per strip, capped by the cores actually present
-        // (minus the participating caller). Zero workers means pool jobs
-        // run inline — correct, just not concurrent.
-        let pool_threads = if epoch_par {
-            match config.workers {
-                Some(workers) => (workers as usize).min(shards),
-                None => std::thread::available_parallelism()
-                    .map_or(0, |n| n.get().saturating_sub(1))
-                    .min(shards),
-            }
-        } else {
-            0
-        };
 
         World {
             map,
             queue,
-            shard_queues,
-            event_seq,
-            shard_map,
-            strip_of_host,
             index,
             medium: {
                 let mut medium = Medium::new(hosts);
@@ -716,21 +514,6 @@ impl World {
                 LoopProfiler::disabled()
             },
             scenario,
-            pool: WorkerPool::new(pool_threads),
-            epoch_par,
-            pending_timer: if epoch_par {
-                vec![None; hosts]
-            } else {
-                Vec::new()
-            },
-            shard_tx: if epoch_par {
-                (0..shards).map(|_| Vec::new()).collect()
-            } else {
-                Vec::new()
-            },
-            epoch_tx_scratch: Vec::new(),
-            shard_deltas: vec![ShardDelta::default(); if epoch_par { shards } else { 0 }],
-            epochs: 0,
             nodes,
             cfg: config,
         }
@@ -765,58 +548,6 @@ impl World {
         self.scenario
             .as_ref()
             .map_or(0, |st| st.node_epoch[node.index()])
-    }
-
-    // ---- event queues ---------------------------------------------------
-    //
-    // Every run has one control queue; the epoch executor adds a queue
-    // per `--shards` strip. Every scheduled event is stamped from a single
-    // global sequence counter in program order, so the merged
-    // `(time, seq)` image of all queues is exactly the single-queue one.
-    // Shard queues hold only `MacTimer` events (cancellation keys of the
-    // other kinds always resolve against the control queue), routed by
-    // the scheduling host's strip.
-
-    /// Schedules `event`, stamping it from the global sequence counter and
-    /// routing it to its owner queue.
-    #[cfg_attr(simlint, shard_merge)]
-    fn schedule_event(&mut self, time: SimTime, event: Event) -> EventKey {
-        let seq = self.event_seq;
-        self.event_seq += 1;
-        let queue = match &event {
-            Event::MacTimer { node, .. } if !self.shard_queues.is_empty() => {
-                &mut self.shard_queues[self.strip_of_host[node.index()] as usize]
-            }
-            _ => &mut self.queue,
-        };
-        queue.schedule_seq(time, seq, event)
-    }
-
-    /// Merged queue counters `(now, next_seq, delivered, scheduled)` across
-    /// the control and shard queues — the values a single-queue run would
-    /// report for the same event stream. `now` is the time of the globally
-    /// last popped event; `next_seq` is the global sequence counter.
-    fn queue_counters(&self) -> (SimTime, u64, u64, u64) {
-        let (mut now, _, mut delivered, mut scheduled) = self.queue.counters();
-        for q in &self.shard_queues {
-            let (q_now, _, q_delivered, q_scheduled) = q.counters();
-            now = now.max(q_now);
-            delivered += q_delivered;
-            scheduled += q_scheduled;
-        }
-        (now, self.event_seq, delivered, scheduled)
-    }
-
-    /// Live entries of the control and shard queues merged into one global
-    /// `(time, seq)`-sorted stream — byte-identical to the single-queue
-    /// image for any shard count.
-    fn queue_image(&self) -> Vec<(SimTime, u64, &Event)> {
-        let mut entries = self.queue.snapshot_entries();
-        for q in &self.shard_queues {
-            entries.extend(q.snapshot_entries());
-        }
-        entries.sort_unstable_by_key(|&(time, seq, _)| (time, seq));
-        entries
     }
 
     /// Runs the simulation to completion and returns the aggregated
@@ -879,8 +610,8 @@ impl World {
     /// `pause_at` equal to a queued event's timestamp pauses **strictly
     /// before** any event at that instant fires. Every event at
     /// `pause_at` stays queued and is delivered after the resume, so a
-    /// snapshot taken exactly on an event timestamp (or an epoch barrier
-    /// landing on one) resumes bit-identically.
+    /// snapshot taken exactly on an event timestamp resumes
+    /// bit-identically.
     pub fn advance_until(&mut self, pause_at: SimTime, observer: &mut dyn SimObserver) -> bool {
         if self.finished {
             return true;
@@ -888,17 +619,13 @@ impl World {
         // The profiler is moved out for the duration of the loop so the
         // event handlers can borrow `self` freely.
         let mut profiler = std::mem::replace(&mut self.profiler, LoopProfiler::disabled());
-        let finished = if self.epoch_par {
-            self.advance_epochs(pause_at, &mut profiler, observer)
-        } else {
-            self.advance_sequential(pause_at, &mut profiler, observer)
-        };
+        let finished = self.advance_sequential(pause_at, &mut profiler, observer);
         self.profiler = profiler;
         finished
     }
 
-    /// The default executor: one `(time, seq)`-ordered event at a time
-    /// off the single queue.
+    /// The event loop: one `(time, seq)`-ordered event at a time off the
+    /// queue.
     fn advance_sequential(
         &mut self,
         pause_at: SimTime,
@@ -906,7 +633,7 @@ impl World {
         observer: &mut dyn SimObserver,
     ) -> bool {
         loop {
-            let Some((next, _)) = self.queue.peek_key() else {
+            let Some(next) = self.queue.peek_time() else {
                 self.finished = true;
                 return true;
             };
@@ -926,192 +653,11 @@ impl World {
         }
     }
 
-    /// The epoch-parallel executor (`--parallel-epochs`): control-queue
-    /// events still run one at a time in global order, but whenever the
-    /// globally next event is a shard-queue MAC timer, *every* shard
-    /// drains its queue concurrently up to the safety horizon.
-    ///
-    /// Soundness rests on three facts. (1) Physics: a frame transmitted
-    /// in strip `i` is first *sensed* anywhere — including strips `i±1`,
-    /// the only others it can reach, since strips are ≥ one radio radius
-    /// wide — `cs_delay` after transmission start, so MAC state at
-    /// `t < epoch_start + cs_delay` cannot depend on any transmission
-    /// begun inside the epoch; deferring `BeginTx` side effects to the
-    /// barrier is invisible to every MAC. (2) Isolation: a drain touches
-    /// only its own queue plus the per-node MAC/pending slots of nodes
-    /// whose timers it pops, and the single-live-timer invariant (see
-    /// [`Self::pending_timer`]) puts each node's live timer in exactly
-    /// one queue — so concurrent drains write disjoint state. (3)
-    /// Determinism: re-armed timers are stamped `base + j·shards + s`
-    /// (disjoint per shard, monotone per queue), deferred transmissions
-    /// are merged in `(time, seq)` order at the barrier, and the global
-    /// counter is advanced past every stamp — so results are independent
-    /// of drain interleaving and worker count.
-    fn advance_epochs(
-        &mut self,
-        pause_at: SimTime,
-        profiler: &mut LoopProfiler,
-        observer: &mut dyn SimObserver,
-    ) -> bool {
-        loop {
-            let control = self.queue.peek_key();
-            let mut shard_best: Option<(SimTime, u64)> = None;
-            for q in self.shard_queues.iter_mut() {
-                if let Some(key) = q.peek_key() {
-                    if shard_best.is_none_or(|b| key < b) {
-                        shard_best = Some(key);
-                    }
-                }
-            }
-            let next = match (control, shard_best) {
-                (None, None) => {
-                    self.finished = true;
-                    return true;
-                }
-                (Some(c), None) => c,
-                (None, Some(s)) => s,
-                (Some(c), Some(s)) => c.min(s),
-            };
-            if next.0 >= pause_at {
-                return false;
-            }
-            if next.0 > self.stop_at {
-                self.finished = true;
-                return true;
-            }
-            let run_control = match (control, shard_best) {
-                (Some(_), None) => true,
-                // Stamps are globally unique, so equality cannot happen.
-                (Some(c), Some(s)) => c < s,
-                _ => false,
-            };
-            if run_control {
-                // Control events (transmission ends, deliveries, carrier
-                // reports, workload, scenario) run sequentially: they
-                // touch global state and draw from the global RNG.
-                let (now, event) = self.queue.pop().expect("peeked control event vanished");
-                self.last_event_at = now;
-                let kind = event.kind();
-                let started = profiler.begin();
-                self.handle(now, event, observer);
-                profiler.record(kind, started);
-            } else {
-                // The key comparison above is on full (time, seq), so a
-                // control event at the same instant but a later seq still
-                // lets earlier-stamped shard timers drain first.
-                let epoch_start = shard_best.expect("epoch without shard events").0;
-                let mut limit = (epoch_start + self.cfg.cs_delay, 0u64);
-                if let Some(c) = control {
-                    limit = limit.min(c);
-                }
-                // Pause is exclusive (events at pause_at stay queued);
-                // stop is inclusive (events at stop_at still run).
-                limit = limit.min((pause_at, 0));
-                limit = limit.min((self.stop_at, u64::MAX));
-                self.run_epoch(limit, profiler, observer);
-            }
-        }
-    }
-
-    /// One parallel epoch: concurrently drain every shard queue strictly
-    /// below `limit`, then merge the buffered cross-strip effects.
-    fn run_epoch(
-        &mut self,
-        limit: (SimTime, u64),
-        profiler: &mut LoopProfiler,
-        observer: &mut dyn SimObserver,
-    ) {
-        self.epochs += 1;
-        let shards = self.shard_queues.len();
-        let base_seq = self.event_seq;
-        let node_epochs = self.scenario.as_ref().map(|st| st.node_epoch.as_slice());
-        for delta in &mut self.shard_deltas {
-            *delta = ShardDelta::default();
-        }
-        let started = profiler.begin();
-        {
-            let queues = SharedSliceMut::new(&mut self.shard_queues);
-            let nodes = SharedSliceMut::new(&mut self.nodes);
-            let pending = SharedSliceMut::new(&mut self.pending_timer);
-            let deltas = SharedSliceMut::new(&mut self.shard_deltas);
-            let buffers = SharedSliceMut::new(&mut self.shard_tx);
-            self.pool.run(shards, &|s| {
-                // SAFETY: job `s` takes shard `s`'s queue, delta, and tx
-                // buffer — disjoint by index. Node-level slots are
-                // disjoint via the single-live-timer invariant.
-                let queue = unsafe { &mut *queues.get(s) };
-                let delta = unsafe { &mut *deltas.get(s) };
-                let out = unsafe { &mut *buffers.get(s) };
-                drain_shard_epoch(
-                    s,
-                    shards as u64,
-                    base_seq,
-                    limit,
-                    queue,
-                    &nodes,
-                    &pending,
-                    node_epochs,
-                    delta,
-                    out,
-                );
-            });
-        }
-        // Barrier. Advance the global counter past every stamp any shard
-        // may have used (stamps are base + j·shards + s with j < max
-        // rescheduled), fold the tallies, and replay the deferred
-        // transmissions in global (time, seq) order.
-        let max_rescheduled = self
-            .shard_deltas
-            .iter()
-            .map(|d| d.rescheduled)
-            .max()
-            .unwrap_or(0);
-        self.event_seq = base_seq + max_rescheduled * shards as u64;
-        let mut total = ShardDelta::default();
-        for delta in &self.shard_deltas {
-            total.merge(delta);
-        }
-        if let Some(t) = total.last_event_at {
-            self.last_event_at = self.last_event_at.max(t);
-        }
-        let mut merged = std::mem::take(&mut self.epoch_tx_scratch);
-        merged.clear();
-        for buffer in &mut self.shard_tx {
-            merged.append(buffer);
-        }
-        merged.sort_unstable_by_key(|tx| (tx.time, tx.seq));
-        for tx in merged.drain(..) {
-            self.begin_transmission(tx.node, tx.handle, tx.payload_bytes, tx.time, observer);
-        }
-        self.epoch_tx_scratch = merged;
-        // One timing window covers the whole epoch (drain + barrier);
-        // per-event means stay comparable to the sequential profile, max
-        // does not.
-        profiler.record_batch("mac_timer", started, total.events);
-    }
-
-    /// Number of parallel epochs executed so far (0 in sequential mode).
+    /// Always 0: the epoch-parallel executor this counted is gone. Kept
+    /// only because the benchmark's traced pass still reads it; removed
+    /// with the next benchmark change.
     pub fn epochs_run(&self) -> u64 {
-        self.epochs
-    }
-
-    /// The epoch-parallel executor's safety horizon for `config`: the
-    /// minimum delay before any event in one strip can influence MAC
-    /// state in another, or `None` when the config cannot run parallel
-    /// epochs (single effective strip, or instant carrier sensing).
-    ///
-    /// The horizon is the carrier-sense latency: a cross-strip influence
-    /// needs a transmission, and a transmission begun at `t` first
-    /// touches any other host's MAC at `t + cs_delay` (its own strip
-    /// included — neighboring strips only later or equal, which is all
-    /// the executor needs).
-    pub fn epoch_horizon(config: &SimConfig) -> Option<manet_sim_engine::SimDuration> {
-        let shard_map = ShardMap::new(
-            config.map().bounds().width(),
-            config.radio_radius,
-            config.shards,
-        );
-        (shard_map.shards() > 1 && !config.cs_delay.is_zero()).then_some(config.cs_delay)
+        0
     }
 
     /// Consumes the (finished or paused) world, harvesting the per-host
@@ -1170,7 +716,7 @@ impl World {
                 self.snap_at = None;
                 self.grid_at = None;
                 if let Some(next) = self.nodes[node.index()].mobility.next_change() {
-                    self.schedule_event(next, Event::MobilityTurn { node });
+                    self.queue.schedule(next, Event::MobilityTurn { node });
                 }
             }
             Event::HelloTimer { node } => {
@@ -1273,7 +819,7 @@ impl World {
                 };
                 if target < at {
                     self.queue.cancel(key);
-                    let key = self.schedule_event(target, Event::HelloTimer { node });
+                    let key = self.queue.schedule(target, Event::HelloTimer { node });
                     self.nodes[node.index()].hello_pending = Some((key, target));
                 }
             }
@@ -1298,7 +844,7 @@ impl World {
                 let jitter_num = self.proto_rng.gen_range_u32(95..106);
                 let next = interval * u64::from(jitter_num) / 100;
                 let at = now + next;
-                let key = self.schedule_event(at, Event::HelloTimer { node });
+                let key = self.queue.schedule(at, Event::HelloTimer { node });
                 self.nodes[node.index()].hello_pending = Some((key, at));
             }
             Effect::FirstHeard { node, packet } => {
@@ -1338,7 +884,9 @@ impl World {
                 // draws contend - the paper's Fig. 2 contention scenario.
                 let slots = self.proto_rng.gen_range_u32(0..32);
                 let delay = self.cfg.cs_delay + manet_mac::timing::DIFS + SLOT * u64::from(slots);
-                let key = self.schedule_event(now + delay, Event::AssessmentDone { node, packet });
+                let key = self
+                    .queue
+                    .schedule(now + delay, Event::AssessmentDone { node, packet });
                 self.pure.set_assessment_key(node, packet.seq, key);
                 observer.event(&TraceEvent::Decision {
                     node,
@@ -1442,13 +990,6 @@ impl World {
         if self.index.sync_due(now) {
             self.refresh_positions(now);
             self.index.sync(now, &self.snap_positions);
-            if self.epoch_par {
-                // MAC timers follow their host's `--shards` strip as of
-                // the latest sync.
-                for (strip, p) in self.strip_of_host.iter_mut().zip(&self.snap_positions) {
-                    *strip = self.shard_map.shard_of_x(p.x) as u32;
-                }
-            }
         }
         let bounds = self.map.bounds();
         if self.snap_at != Some(now) {
@@ -1561,7 +1102,7 @@ impl World {
             let gap = self
                 .workload_rng
                 .gen_duration_up_to(self.cfg.max_interarrival);
-            self.schedule_event(now + gap, Event::IssueBroadcast);
+            self.queue.schedule(now + gap, Event::IssueBroadcast);
         } else {
             self.stop_at = now + self.cfg.grace;
         }
@@ -1601,7 +1142,7 @@ impl World {
         match action {
             Some(MacAction::StartTimer { delay, generation }) => {
                 let epoch = self.current_epoch(node);
-                let key = self.schedule_event(
+                self.queue.schedule(
                     now + delay,
                     Event::MacTimer {
                         node,
@@ -1609,19 +1150,6 @@ impl World {
                         epoch,
                     },
                 );
-                if self.epoch_par {
-                    // Track the node's (single) live timer so busy-freeze
-                    // and deactivation can cancel it instead of letting a
-                    // stale delivery float between queues. A previous
-                    // entry should already have been cancelled or
-                    // delivered; cancel defensively so the invariant
-                    // holds even if a new MAC path arms over a live one.
-                    let strip = self.strip_of_host[node.index()];
-                    let previous = self.pending_timer[node.index()].replace((strip, key));
-                    if let Some((queue, old)) = previous {
-                        self.shard_queues[queue as usize].cancel(old);
-                    }
-                }
             }
             Some(MacAction::BeginTx {
                 handle,
@@ -1709,7 +1237,7 @@ impl World {
             self.apply_link_faults(frame, node, &listeners);
         }
         self.scratch_listeners = listeners;
-        self.schedule_event(end, Event::TxEnd { frame });
+        self.queue.schedule(end, Event::TxEnd { frame });
         let slot = usize::try_from(frame.as_u64()).expect("frame slot out of range");
         if slot >= self.in_flight.len() {
             self.in_flight.resize_with(slot + 1, || None);
@@ -1756,7 +1284,8 @@ impl World {
             hearers.clear();
             hearers.extend(changes.iter().map(|c| c.node));
             let slot = self.carrier_batches.insert(hearers);
-            self.schedule_event(now + self.cfg.cs_delay, Event::CarrierBatch { slot, busy });
+            self.queue
+                .schedule(now + self.cfg.cs_delay, Event::CarrierBatch { slot, busy });
         }
     }
 
@@ -1773,16 +1302,6 @@ impl World {
         // radio; its replacement MAC syncs its own carrier view on rejoin.
         if !self.is_active(node) {
             return;
-        }
-        if busy && self.epoch_par {
-            // Busy invalidates any armed DIFS/backoff countdown (the MAC
-            // bumps its generation below). Cancel the tracked timer so the
-            // stale delivery never floats in a shard queue; whenever the
-            // node holds a live timer it is in Difs/Backoff, so the slot
-            // is `Some` exactly when there is something to cancel.
-            if let Some((queue, key)) = self.pending_timer[node.index()].take() {
-                self.shard_queues[queue as usize].cancel(key);
-            }
         }
         let mac = &mut self.nodes[node.index()].mac;
         let action = if busy {
@@ -2014,14 +1533,6 @@ impl World {
         if let Some((key, _)) = self.nodes[idx].hello_pending.take() {
             self.queue.cancel(key);
         }
-        // Parallel mode: the epoch bump above already makes any pending
-        // MAC timer undeliverable; cancel it too so the tracked-timer
-        // invariant (slot `Some` ⇔ one live timer in that queue) holds.
-        if self.epoch_par {
-            if let Some((queue, key)) = self.pending_timer[idx].take() {
-                self.shard_queues[queue as usize].cancel(key);
-            }
-        }
         // Abandon per-packet scheme state: pending assessment wakeups come
         // back as an `AbandonAssessments` effect and are cancelled there;
         // MAC-queued rebroadcasts are handled by the queue sweep below
@@ -2064,7 +1575,7 @@ impl World {
         // deterministic and terminates because the downed MAC cannot
         // start anything new.
         if self.medium.is_transmitting(node) {
-            self.schedule_event(
+            self.queue.schedule(
                 now + manet_sim_engine::SimDuration::from_millis(5),
                 Event::Scenario { index },
             );
@@ -2095,7 +1606,7 @@ impl World {
         }
         if self.hellos_enabled() {
             let at = now + phase;
-            let key = self.schedule_event(at, Event::HelloTimer { node });
+            let key = self.queue.schedule(at, Event::HelloTimer { node });
             self.nodes[idx].hello_pending = Some((key, at));
         }
     }

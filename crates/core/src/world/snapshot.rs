@@ -82,17 +82,12 @@ impl World {
         enc.bytes(fingerprint.as_slice());
 
         // Event queue: counters, then live entries in (time, seq) order.
-        // On sharded runs the control and shard queues are merged back
-        // into one global (time, seq) stream with summed counters — the
-        // exact image a single-queue run would produce, which is what
-        // makes snapshots shard-count-agnostic: a run snapshotted at 4
-        // shards resumes at 1 (and vice versa), byte-identically.
-        let (now, next_seq, delivered, scheduled) = self.queue_counters();
+        let (now, next_seq, delivered, scheduled) = self.queue.counters();
         enc.u64(now.as_nanos());
         enc.u64(next_seq);
         enc.u64(delivered);
         enc.u64(scheduled);
-        let entries = self.queue_image();
+        let entries = self.queue.snapshot_entries();
         enc.len(entries.len());
         for (time, seq, event) in entries {
             enc.u64(time.as_nanos());
@@ -207,10 +202,7 @@ impl World {
 
         // Event queue: drop the fresh world's schedule entirely and
         // rebuild the snapshotted one (same times, same seqs, so stored
-        // cancellation keys still address their events). All entries land
-        // on the control queue regardless of this run's shard count —
-        // queue placement is an execution detail with no bearing on the
-        // merged pop order, and newly armed MAC timers re-shard naturally.
+        // cancellation keys still address their events).
         let now = SimTime::from_nanos(dec.u64()?);
         let next_seq = dec.u64()?;
         let delivered = dec.u64()?;
@@ -224,7 +216,6 @@ impl World {
             entries.push((time, seq, event));
         }
         world.queue = EventQueue::restore(now, next_seq, delivered, scheduled, entries);
-        world.event_seq = next_seq;
 
         world.workload_rng = decode_rng(&mut dec)?;
         world.proto_rng = decode_rng(&mut dec)?;

@@ -49,10 +49,8 @@ pub use manet_sim_engine::DEFAULT_LATENCY_BOUNDS_S;
 pub use metrics_out::render_metrics_json;
 pub use runner::{
     drain_metrics_capture, enable_metrics_capture, enable_metrics_capture_with_bounds,
-    metrics_record, metrics_record_with_bounds, parallel_epochs_override, parallel_map,
-    record_metrics, run_averaged, run_grid, set_parallel_epochs_override, set_shards_override,
-    set_workers_override, shards_override, workers_override, AveragedReport, MetricsRecord,
-    RunMetricsSummary, Scale, BASE_SEED, PAPER_MAPS,
+    metrics_record, metrics_record_with_bounds, parallel_map, record_metrics, run_averaged,
+    run_grid, AveragedReport, MetricsRecord, RunMetricsSummary, Scale, BASE_SEED, PAPER_MAPS,
 };
 pub use table::{pct, secs, Table};
 

@@ -9,7 +9,7 @@ use broadcast_core::{
     LossCounters, MacStats, NetActivity, ScenarioCounts, SimConfig, SimReport, SuppressionCounts,
     World,
 };
-use manet_sim_engine::{Histogram, HistogramSnapshot, DEFAULT_LATENCY_BOUNDS_S};
+use manet_sim_engine::{fan_out, Histogram, HistogramSnapshot, DEFAULT_LATENCY_BOUNDS_S};
 
 /// How much work a figure reproduction does.
 ///
@@ -214,68 +214,6 @@ struct CaptureState {
 /// because `run_grid` fans runs out over worker threads.
 static METRICS_SINK: Mutex<Option<CaptureState>> = Mutex::new(None);
 
-/// Shard-count override applied by [`run_averaged`] (0 = none). The
-/// shard count only partitions the epoch-parallel executor; without it
-/// results are bit-identical for any count, which is why a process-wide
-/// atomic is safe even with figure sweeps running concurrently.
-static SHARDS_OVERRIDE: std::sync::atomic::AtomicU32 = std::sync::atomic::AtomicU32::new(0);
-
-/// Makes every subsequent [`run_averaged`] run its worlds with `shards`
-/// spatial strips (clamped per-map by the world so every strip spans at
-/// least one radio radius). Pass 0 to clear.
-pub fn set_shards_override(shards: u32) {
-    SHARDS_OVERRIDE.store(shards, std::sync::atomic::Ordering::Relaxed);
-}
-
-/// The active shard-count override, if any.
-pub fn shards_override() -> Option<u32> {
-    match SHARDS_OVERRIDE.load(std::sync::atomic::Ordering::Relaxed) {
-        0 => None,
-        n => Some(n),
-    }
-}
-
-/// Whether [`run_averaged`] worlds run the epoch-parallel executor.
-/// Unlike plain sharding, `--parallel-epochs` waives byte-identity for
-/// count-level equivalence, so this is opt-in per process and the figure
-/// pipelines keep their pinned hashes unless the user asks for it.
-static PARALLEL_EPOCHS_OVERRIDE: std::sync::atomic::AtomicBool =
-    std::sync::atomic::AtomicBool::new(false);
-
-/// Makes every subsequent [`run_averaged`] world drain its shard queues
-/// in parallel epochs (no-op for worlds that end up with one strip).
-pub fn set_parallel_epochs_override(enabled: bool) {
-    PARALLEL_EPOCHS_OVERRIDE.store(enabled, std::sync::atomic::Ordering::Relaxed);
-}
-
-/// The active epoch-parallel override.
-pub fn parallel_epochs_override() -> bool {
-    PARALLEL_EPOCHS_OVERRIDE.load(std::sync::atomic::Ordering::Relaxed)
-}
-
-/// Pool-thread override for sharded executors (`u32::MAX` = none).
-/// `Some(0)` is meaningful — it forces inline execution — so the
-/// sentinel is `MAX` rather than zero. Like the shard override, this is
-/// execution-only: it never changes results, only wall time.
-static WORKERS_OVERRIDE: std::sync::atomic::AtomicU32 = std::sync::atomic::AtomicU32::new(u32::MAX);
-
-/// Makes every subsequent [`run_averaged`] world use `workers` pool
-/// threads for sharded execution (`None` restores auto-detection).
-pub fn set_workers_override(workers: Option<u32>) {
-    WORKERS_OVERRIDE.store(
-        workers.unwrap_or(u32::MAX),
-        std::sync::atomic::Ordering::Relaxed,
-    );
-}
-
-/// The active worker-thread override, if any.
-pub fn workers_override() -> Option<u32> {
-    match WORKERS_OVERRIDE.load(std::sync::atomic::Ordering::Relaxed) {
-        u32::MAX => None,
-        n => Some(n),
-    }
-}
-
 fn sink_lock() -> std::sync::MutexGuard<'static, Option<CaptureState>> {
     // A worker that panicked mid-run poisons the lock; the sink's data is
     // append-only and stays coherent, so recover rather than cascade.
@@ -322,15 +260,6 @@ pub fn run_averaged(config: &SimConfig, repeats: u64) -> AveragedReport {
     let reports: Vec<SimReport> = parallel_map((0..repeats).collect(), |&i| {
         let mut c = config.clone();
         c.seed = config.seed.wrapping_add(i);
-        if let Some(shards) = shards_override() {
-            c.shards = shards;
-        }
-        if parallel_epochs_override() {
-            c.parallel_epochs = true;
-        }
-        if let Some(workers) = workers_override() {
-            c.workers = Some(workers);
-        }
         World::new(c).run()
     });
     let averaged = AveragedReport::from_reports(&reports);
@@ -388,73 +317,18 @@ pub fn metrics_record_with_bounds(
 }
 
 /// Evaluates `job` over `inputs` on up to `available_parallelism` OS
-/// threads, preserving input order. Plain `std::thread` — simulations are
-/// independent and CPU-bound, so this is all the parallelism the harness
-/// needs.
-///
-/// Workers collect into thread-local vectors (no shared lock that a
-/// panicking job would poison); a panic in `job` is re-raised on the
-/// caller with its original payload once every worker has stopped.
+/// threads (the caller among them), preserving input order. Simulations
+/// are independent and CPU-bound, so sim-engine's [`fan_out`] is all the
+/// parallelism the harness needs; a panic in `job` reaches the caller
+/// with its original payload once every thread has stopped.
 pub fn parallel_map<I, O, F>(inputs: Vec<I>, job: F) -> Vec<O>
 where
     I: Send + Sync,
     O: Send,
     F: Fn(&I) -> O + Sync,
 {
-    let workers = thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1)
-        .min(inputs.len().max(1));
-    if workers <= 1 {
-        return inputs.iter().map(&job).collect();
-    }
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let per_worker: Vec<Vec<(usize, O)>> = thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let idx = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if idx >= inputs.len() {
-                            break;
-                        }
-                        local.push((idx, job(&inputs[idx])));
-                    }
-                    local
-                })
-            })
-            .collect();
-        // Join everything first so no worker outlives the scope, then
-        // propagate the first panic with its original payload.
-        let joined: Vec<thread::Result<Vec<(usize, O)>>> =
-            handles.into_iter().map(|h| h.join()).collect();
-        let mut collected = Vec::with_capacity(workers);
-        let mut payload_hold = None;
-        for result in joined {
-            match result {
-                Ok(local) => collected.push(local),
-                Err(payload) => {
-                    if payload_hold.is_none() {
-                        payload_hold = Some(payload);
-                    }
-                }
-            }
-        }
-        if let Some(payload) = payload_hold {
-            std::panic::resume_unwind(payload);
-        }
-        collected
-    });
-    let mut slots: Vec<Option<O>> = Vec::new();
-    slots.resize_with(inputs.len(), || None);
-    for (idx, out) in per_worker.into_iter().flatten() {
-        slots[idx] = Some(out);
-    }
-    slots
-        .into_iter()
-        .map(|o| o.expect("worker skipped a slot"))
-        .collect()
+    let threads = thread::available_parallelism().map_or(1, NonZeroUsize::get);
+    fan_out(inputs.len(), threads - 1, |i| job(&inputs[i]))
 }
 
 /// Runs every `(scheme, map)` pair of a figure's sweep in parallel.

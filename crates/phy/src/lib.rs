@@ -40,7 +40,6 @@
 mod grid;
 mod id;
 mod medium;
-mod shard;
 mod strip_index;
 mod topology;
 
@@ -50,6 +49,5 @@ pub use medium::{
     CaptureModel, CarrierChange, Delivery, Listener, LossCause, LossCounters, Medium, TxEnd,
     TxStart,
 };
-pub use shard::ShardMap;
 pub use strip_index::{StripIndex, STRIP_SYNC_INTERVAL};
 pub use topology::{components, in_range, in_range_into, in_range_of, reachable_from};

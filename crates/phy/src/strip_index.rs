@@ -1,5 +1,5 @@
-//! The exact unit-disk range index every executor answers "who hears
-//! whom" with.
+//! The exact unit-disk range index the world answers "who hears whom"
+//! with.
 //!
 //! A [`StripIndex`] buckets hosts into vertical strips one radio radius
 //! wide, each sorted by y, from a position snapshot taken at a *sync*.
@@ -29,7 +29,6 @@ use manet_geom::Vec2;
 use manet_sim_engine::{SimDuration, SimTime};
 
 use crate::id::NodeId;
-use crate::shard::ShardMap;
 
 /// How long one sync stays usable. Past it the index asks to be synced
 /// again ([`StripIndex::sync_due`]); queries stay exact either way, a
@@ -42,6 +41,64 @@ pub const STRIP_SYNC_INTERVAL: SimDuration = SimDuration::from_secs(1);
 /// distance test still decides membership — so a micrometer of safety
 /// costs nothing and removes any 1-ulp exclusion hazard.
 const DRIFT_SLACK: f64 = 1e-6;
+
+/// The map's x-axis cut into as many equal-width vertical strips as fit
+/// with every strip at least one radio radius wide (at least one strip).
+/// A host's one-hop disc therefore spans at most three strips.
+///
+/// Strip assignment mirrors [`NeighborGrid`](crate::NeighborGrid) cell
+/// clamping exactly: coordinates at or past the right map edge (including
+/// `x == width` when `width` is an exact multiple of the strip width)
+/// bin into the **last** strip, and coordinates at or below zero into
+/// strip 0. Hosts that momentarily overshoot the map are therefore owned
+/// by the border strips, not lost.
+#[derive(Debug)]
+struct Strips {
+    strip_width: f64,
+    count: usize,
+}
+
+impl Strips {
+    /// The widest partition of a `width`-wide map into strips at least
+    /// `radius` wide.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `width` and `radius` are finite and positive.
+    fn new(width: f64, radius: f64) -> Self {
+        assert!(
+            width.is_finite() && width > 0.0,
+            "map width must be positive and finite"
+        );
+        assert!(
+            radius.is_finite() && radius > 0.0,
+            "radio radius must be positive and finite"
+        );
+        let count = (width / radius).floor().max(1.0) as usize;
+        Strips {
+            strip_width: width / count as f64,
+            count,
+        }
+    }
+
+    /// The strip owning x-coordinate `x`, clamped into `0..count`.
+    fn strip_of_x(&self, x: f64) -> usize {
+        let idx = (x / self.strip_width).floor();
+        if idx <= 0.0 {
+            0
+        } else {
+            (idx as usize).min(self.count - 1)
+        }
+    }
+
+    /// Inclusive range `(first, last)` of strips whose x-extent intersects
+    /// the closed interval `[lo, hi]`. The interval may extend past the
+    /// map; it is clamped into the border strips.
+    fn overlapping(&self, lo: f64, hi: f64) -> (usize, usize) {
+        debug_assert!(lo <= hi, "inverted interval");
+        (self.strip_of_x(lo), self.strip_of_x(hi))
+    }
+}
 
 /// Exact strip-bucketed range index over moving hosts.
 ///
@@ -69,7 +126,7 @@ const DRIFT_SLACK: f64 = 1e-6;
 #[derive(Debug)]
 pub struct StripIndex {
     /// The widest feasible partition: strips one radius wide (or wider).
-    strips: ShardMap,
+    strips: Strips,
     radius: f64,
     /// Speed bound (m/s) of every indexed host.
     max_speed: f64,
@@ -102,9 +159,9 @@ impl StripIndex {
             max_speed.is_finite() && max_speed >= 0.0,
             "speed bound must be finite and non-negative"
         );
-        let strips = ShardMap::new(width, radius, u32::MAX);
+        let strips = Strips::new(width, radius);
         StripIndex {
-            hosts: vec![Vec::new(); strips.shards()],
+            hosts: vec![Vec::new(); strips.count],
             strips,
             radius,
             max_speed,
@@ -134,7 +191,7 @@ impl StripIndex {
             bucket.clear();
         }
         for (i, &p) in positions.iter().enumerate() {
-            self.hosts[self.strips.shard_of_x(p.x)].push((p, i as u32));
+            self.hosts[self.strips.strip_of_x(p.x)].push((p, i as u32));
         }
         for bucket in &mut self.hosts {
             bucket.sort_unstable_by(|a, b| a.0.y.total_cmp(&b.0.y).then(a.1.cmp(&b.1)));
@@ -171,9 +228,7 @@ impl StripIndex {
         let drift =
             self.max_speed * now.saturating_duration_since(synced_at).as_secs_f64() + DRIFT_SLACK;
         let reach = radius + drift;
-        let (lo, hi) = self
-            .strips
-            .strips_overlapping(center.x - reach, center.x + reach);
+        let (lo, hi) = self.strips.overlapping(center.x - reach, center.x + reach);
         out.clear();
         let m2 = reach * reach;
         let r2 = radius * radius;
@@ -229,6 +284,49 @@ impl StripIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn strip_count_is_the_widest_feasible_partition() {
+        assert_eq!(Strips::new(2_500.0, 500.0).count, 5);
+        assert_eq!(Strips::new(2_999.0, 500.0).count, 5);
+        assert_eq!(Strips::new(400.0, 500.0).count, 1);
+        for &(w, r) in &[(2_500.0, 500.0), (5_000.0, 500.0), (1_234.5, 300.0)] {
+            let strips = Strips::new(w, r);
+            assert!(
+                strips.strip_width >= r,
+                "{w}x{r}: strip {}",
+                strips.strip_width
+            );
+            assert!(
+                w / ((strips.count + 1) as f64) < r,
+                "{w}x{r}: one more strip would still fit"
+            );
+        }
+    }
+
+    #[test]
+    fn exact_boundaries_bin_like_the_grid() {
+        let strips = Strips::new(2_000.0, 500.0);
+        assert_eq!(strips.strip_of_x(-50.0), 0);
+        assert_eq!(strips.strip_of_x(0.0), 0);
+        assert_eq!(strips.strip_of_x(499.999), 0);
+        assert_eq!(strips.strip_of_x(500.0), 1, "interior boundary goes right");
+        assert_eq!(strips.strip_of_x(1_999.999), 3);
+        assert_eq!(
+            strips.strip_of_x(2_000.0),
+            3,
+            "exact right edge stays in-map"
+        );
+        assert_eq!(strips.strip_of_x(2_400.0), 3);
+    }
+
+    #[test]
+    fn overlap_ranges_cover_the_query_window() {
+        let strips = Strips::new(2_000.0, 500.0);
+        assert_eq!(strips.overlapping(-100.0, 2_100.0), (0, 3));
+        assert_eq!(strips.overlapping(750.0, 750.0), (1, 1));
+        assert_eq!(strips.overlapping(499.0, 501.0), (0, 1));
+    }
 
     #[test]
     fn sync_is_due_until_synced_then_again_one_interval_later() {

@@ -47,8 +47,8 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod fan_out;
 pub mod metrics;
-mod pool;
 pub mod prng;
 mod queue;
 mod rng;
@@ -58,11 +58,11 @@ mod time;
 mod timeline;
 mod wire;
 
+pub use fan_out::fan_out;
 pub use metrics::{
     json_escape, json_f64, Counter, Gauge, Histogram, HistogramSnapshot, KindProfile, LoopProfile,
-    LoopProfiler, MetricsRegistry, ShardDelta, DEFAULT_LATENCY_BOUNDS_S,
+    LoopProfiler, MetricsRegistry, DEFAULT_LATENCY_BOUNDS_S,
 };
-pub use pool::WorkerPool;
 pub use queue::{EventKey, EventQueue};
 pub use rng::SimRng;
 pub use runner::{run, run_profiled, run_until, EventHandler, RunOutcome};

@@ -163,40 +163,6 @@ impl<E> EventQueue<E> {
         self.schedule(self.now + delay, event)
     }
 
-    /// Schedules `event` at `time` under an externally assigned sequence
-    /// number. This is how a set of per-shard queues shares one global
-    /// FIFO tie-break: the caller owns a single monotone counter, stamps
-    /// every event from it, and the merged pop order over all queues is
-    /// then identical to what a single queue would have produced — for
-    /// any number of shards.
-    ///
-    /// The internal counter is bumped past `seq` so later plain
-    /// [`schedule`](Self::schedule) calls (and the range check in
-    /// [`cancel`](Self::cancel)) stay consistent.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `time` is earlier than [`now`](Self::now), or if `seq`
-    /// was already handed out by this queue (reuse would corrupt FIFO
-    /// tie-breaking and tombstone identity).
-    pub fn schedule_seq(&mut self, time: SimTime, seq: u64, event: E) -> EventKey {
-        assert!(
-            time >= self.now,
-            "cannot schedule into the past: {} < {}",
-            time,
-            self.now
-        );
-        assert!(
-            seq >= self.next_seq,
-            "sequence number {seq} reused (queue already at {})",
-            self.next_seq
-        );
-        self.next_seq = seq + 1;
-        self.scheduled += 1;
-        self.heap.push(Entry { time, seq, event });
-        EventKey(seq)
-    }
-
     /// Cancels a previously scheduled event.
     ///
     /// Returns `true` if the event had not yet fired or been cancelled.
@@ -216,15 +182,6 @@ impl<E> EventQueue<E> {
     /// Removes and returns the earliest non-cancelled event, advancing the
     /// clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.pop_entry().map(|(time, _, event)| (time, event))
-    }
-
-    /// Like [`pop`](Self::pop), but also returns the entry's sequence
-    /// number. A multi-queue executor uses this where the global sequence
-    /// stamp of the popped entry matters — e.g. to order effects buffered
-    /// during a parallel epoch by the `(time, seq)` of the event that
-    /// produced them.
-    pub fn pop_entry(&mut self) -> Option<(SimTime, u64, E)> {
         while let Some(entry) = self.heap.pop() {
             // Skip the tombstone hash lookup entirely while no
             // cancellations are outstanding — the common case on the hot
@@ -235,7 +192,7 @@ impl<E> EventQueue<E> {
             debug_assert!(entry.time >= self.now, "event queue went backwards");
             self.now = entry.time;
             self.popped += 1;
-            return Some((entry.time, entry.seq, entry.event));
+            return Some((entry.time, entry.event));
         }
         None
     }
@@ -252,24 +209,6 @@ impl<E> EventQueue<E> {
                 continue;
             }
             return Some(entry.time);
-        }
-        None
-    }
-
-    /// The `(time, seq)` key of the next non-cancelled event, if any.
-    ///
-    /// This is the comparison key a multi-queue executor needs to merge
-    /// several queues into one deterministic global order: pop from the
-    /// queue whose head has the smallest `(time, seq)`. Cancelled entries
-    /// at the head are dropped eagerly, as in [`peek_time`](Self::peek_time).
-    pub fn peek_key(&mut self) -> Option<(SimTime, u64)> {
-        while let Some(entry) = self.heap.peek() {
-            if !self.cancelled.is_empty() && self.cancelled.contains(&entry.seq) {
-                let entry = self.heap.pop().expect("peeked entry vanished");
-                self.cancelled.remove(&entry.seq);
-                continue;
-            }
-            return Some((entry.time, entry.seq));
         }
         None
     }
@@ -417,77 +356,6 @@ mod tests {
         q.schedule(SimTime::from_millis(5), 2);
         q.cancel(k);
         assert_eq!(q.peek_time(), Some(SimTime::from_millis(5)));
-    }
-
-    #[test]
-    fn schedule_seq_merges_bit_identically_across_queue_counts() {
-        // The same (time, seq) stream, split across K queues by an
-        // arbitrary ownership function, must merge back into exactly the
-        // single-queue pop order — this is the property the sharded world
-        // executor is built on.
-        let times = [5u64, 1, 3, 3, 1, 9, 3, 1, 7, 2, 2, 8];
-        let mut single = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            single.schedule(SimTime::from_millis(t), i);
-        }
-        let expected: Vec<(SimTime, usize)> = std::iter::from_fn(|| single.pop()).collect();
-
-        for shards in 1..=4usize {
-            let mut queues: Vec<EventQueue<usize>> =
-                (0..shards).map(|_| EventQueue::new()).collect();
-            for (i, &t) in times.iter().enumerate() {
-                queues[i % shards].schedule_seq(SimTime::from_millis(t), i as u64, i);
-            }
-            let mut merged = Vec::new();
-            loop {
-                let winner = queues
-                    .iter_mut()
-                    .enumerate()
-                    .filter_map(|(q, queue)| queue.peek_key().map(|key| (key, q)))
-                    .min();
-                let Some((_, q)) = winner else { break };
-                merged.push(queues[q].pop().expect("peeked entry vanished"));
-            }
-            assert_eq!(merged, expected, "merge order diverged at {shards} shards");
-        }
-    }
-
-    #[test]
-    fn schedule_seq_bumps_internal_counter() {
-        let mut q = EventQueue::new();
-        q.schedule_seq(SimTime::from_millis(1), 7, 'a');
-        // A later plain schedule must not collide with seq 7.
-        let key = q.schedule(SimTime::from_millis(1), 'b');
-        assert_eq!(key.as_raw(), 8);
-        assert_eq!(q.pop(), Some((SimTime::from_millis(1), 'a')));
-        assert_eq!(q.pop(), Some((SimTime::from_millis(1), 'b')));
-    }
-
-    #[test]
-    #[should_panic(expected = "reused")]
-    fn schedule_seq_rejects_reuse() {
-        let mut q = EventQueue::new();
-        q.schedule_seq(SimTime::from_millis(1), 3, ());
-        q.schedule_seq(SimTime::from_millis(2), 3, ());
-    }
-
-    #[test]
-    fn peek_key_skips_cancelled_head() {
-        let mut q = EventQueue::new();
-        let k = q.schedule(SimTime::from_millis(1), 1);
-        q.schedule(SimTime::from_millis(5), 2);
-        q.cancel(k);
-        assert_eq!(q.peek_key(), Some((SimTime::from_millis(5), 1)));
-    }
-
-    #[test]
-    fn pop_entry_exposes_the_sequence_stamp() {
-        let mut q = EventQueue::new();
-        q.schedule_seq(SimTime::from_millis(2), 5, 'b');
-        q.schedule_seq(SimTime::from_millis(1), 9, 'a');
-        assert_eq!(q.pop_entry(), Some((SimTime::from_millis(1), 9, 'a')));
-        assert_eq!(q.pop_entry(), Some((SimTime::from_millis(2), 5, 'b')));
-        assert_eq!(q.pop_entry(), None);
     }
 
     #[test]

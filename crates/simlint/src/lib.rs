@@ -15,8 +15,6 @@
 //! | `hot-path-alloc` | `#[cfg_attr(simlint, hot_path)]` fns — and everything they reach — free of allocating constructs |
 //! | `pure-model-effect` | `#[cfg_attr(simlint, pure_model)]` fns — and everything they reach — free of RNG, queue, and Medium effects |
 //! | `float-event-key` | no `f32`/`f64` fields in `Ord`/`PartialOrd` types in sim crates |
-//! | `shard-boundary` | `#[cfg_attr(simlint, shard_merge)]` fns — and everything they reach — free of `HashMap`/`HashSet` |
-//! | `epoch-barrier` | `#[cfg_attr(simlint, epoch_shard)]` fns free of RNG draws, `event_seq`, `Medium` mutation (globals checked transitively) |
 //! | `serve-loop-block` | `#[cfg_attr(simlint, serve_loop)]` fns free of slurps, unbounded growth, wall clock |
 //! | `lock-order` | `.lock()`/`.read()`/`.write()` acquisition graph acyclic and ranked per `LOCKS.md` |
 //! | `fork-escape` | literal `fork(N)` handles never flow into non-workspace functions |

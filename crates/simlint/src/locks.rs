@@ -19,7 +19,7 @@
 //! type inference. Guards bound with `let` are held to the end of the
 //! enclosing block (or an explicit `drop(guard)`); temporary guards die
 //! at the end of their statement. One known limit, documented in
-//! DESIGN.md §16: a guard *returned* from a helper (`let st =
+//! DESIGN.md §14: a guard *returned* from a helper (`let st =
 //! lock(&self.state)`) creates its held-range inside the helper's
 //! caller only as far as the statement — cross-function guard returns
 //! are not tracked, so long-lived helper guards should be acquired

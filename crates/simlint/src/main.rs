@@ -30,9 +30,9 @@ given. --json emits one JSON object per diagnostic (fields: file, line,
 col, rule, message, chain) instead of text.
 
 Rules: nondeterministic-iteration, wall-clock, rng-fork-discipline,
-hot-path-alloc, pure-model-effect, float-event-key, shard-boundary,
-epoch-barrier, serve-loop-block, lock-order, fork-escape, unused-allow
-(plus unknown-rule for bad allow directives). The marker rules propagate
+hot-path-alloc, pure-model-effect, float-event-key, serve-loop-block,
+lock-order, fork-escape, unused-allow (plus unknown-rule for bad allow
+directives). The marker rules propagate
 through the workspace call graph; transitive findings print their chain.
 Suppress one diagnostic with `// simlint: allow(<rule>, ...)` on the same
 line or the line above.";

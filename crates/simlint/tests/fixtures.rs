@@ -11,9 +11,8 @@ use simlint::forks::ForkRegistry;
 use simlint::lint_paths;
 use simlint::locks::LockRegistry;
 use simlint::rules::{
-    RULE_EPOCH_BARRIER, RULE_FLOAT_KEY, RULE_FORK, RULE_FORK_ESCAPE, RULE_HOT_PATH,
-    RULE_LOCK_ORDER, RULE_NONDET_ITER, RULE_PURE_MODEL, RULE_SERVE_LOOP, RULE_SHARD_BOUNDARY,
-    RULE_UNKNOWN, RULE_UNUSED_ALLOW, RULE_WALL_CLOCK,
+    RULE_FLOAT_KEY, RULE_FORK, RULE_FORK_ESCAPE, RULE_HOT_PATH, RULE_LOCK_ORDER, RULE_NONDET_ITER,
+    RULE_PURE_MODEL, RULE_SERVE_LOOP, RULE_UNKNOWN, RULE_UNUSED_ALLOW, RULE_WALL_CLOCK,
 };
 
 fn fixtures_dir() -> PathBuf {
@@ -112,7 +111,6 @@ fn bad_fixtures_fire_exactly_their_rules() {
         ("chain_hop1.rs", &[RULE_HOT_PATH]),
         ("chain_hop2.rs", &[RULE_PURE_MODEL]),
         ("chain_hop3.rs", &[RULE_HOT_PATH]),
-        ("epoch_shard.rs", &[RULE_EPOCH_BARRIER]),
         ("float_key.rs", &[RULE_FLOAT_KEY]),
         ("fork_duplicate.rs", &[RULE_FORK]),
         ("fork_escape.rs", &[RULE_FORK_ESCAPE]),
@@ -125,7 +123,6 @@ fn bad_fixtures_fire_exactly_their_rules() {
         // The wall-clock read inside the marked fn trips both the
         // serve-loop rule and the crate-level wall-clock rule.
         ("serve_loop.rs", &[RULE_SERVE_LOOP, RULE_WALL_CLOCK]),
-        ("shard_merge.rs", &[RULE_SHARD_BOUNDARY]),
         ("unknown_rule.rs", &[RULE_UNKNOWN]),
         ("unused_allow.rs", &[RULE_UNUSED_ALLOW]),
         ("wall_clock.rs", &[RULE_WALL_CLOCK]),

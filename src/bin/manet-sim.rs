@@ -40,17 +40,6 @@ options:
   --per-broadcast FILE  write per-broadcast outcomes as CSV
   --metrics FILE        write run counters and histograms as JSON
                         (schema manet-broadcast-metrics/1)
-  --shards N            strips the map is cut into for --parallel-epochs
-                        (default 1; clamped so every strip spans >= one
-                        radio radius); without --parallel-epochs it
-                        changes nothing
-  --parallel-epochs     drain the shard queues concurrently in epochs
-                        bounded by the carrier-sense horizon; same
-                        decisions and counts as sequential, but event
-                        interleaving (and so byte-identity) is waived
-  --workers N           pool threads for --parallel-epochs (default:
-                        cores - 1, capped by the shard count; 0 forces
-                        inline); execution-only, never changes results
   --profile             measure event-loop wall time per event kind
   --snapshot-at T_NS    pause at T_NS simulated nanoseconds, write a
                         checkpoint (requires --snapshot-out), continue
@@ -143,9 +132,6 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
     let mut per_broadcast = None;
     let mut metrics = None;
     let mut profile = false;
-    let mut shards = 1u32;
-    let mut parallel_epochs = false;
-    let mut workers: Option<u32> = None;
     let mut snapshot_at: Option<u64> = None;
     let mut snapshot_out: Option<String> = None;
     let mut resume: Option<String> = None;
@@ -202,22 +188,6 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
             "--per-broadcast" => per_broadcast = Some(value("--per-broadcast")?),
             "--metrics" => metrics = Some(value("--metrics")?),
             "--profile" => profile = true,
-            "--shards" => {
-                shards = value("--shards")?
-                    .parse()
-                    .map_err(|e| format!("bad --shards: {e}"))?;
-                if shards == 0 {
-                    return Err("bad --shards: need at least one shard".into());
-                }
-            }
-            "--parallel-epochs" => parallel_epochs = true,
-            "--workers" => {
-                workers = Some(
-                    value("--workers")?
-                        .parse()
-                        .map_err(|e| format!("bad --workers: {e}"))?,
-                )
-            }
             "--snapshot-at" => {
                 snapshot_at = Some(
                     value("--snapshot-at")?
@@ -261,12 +231,7 @@ fn parse_args(args: &[String]) -> Result<Option<Options>, String> {
         .seed(seed)
         .mobility(parse_mobility(&mobility)?)
         .drop_probability(drop)
-        .profile_events(profile)
-        .shards(shards)
-        .parallel_epochs(parallel_epochs);
-    if let Some(workers) = workers {
-        builder = builder.workers(workers);
-    }
+        .profile_events(profile);
     if let Some(scenario) = scenario {
         builder = builder.scenario(scenario);
     }
@@ -656,33 +621,33 @@ mod tests {
         assert_eq!(c.effective_max_speed_kmh(), 60.0);
     }
 
+    /// The run mode has one executor, so `--shards` and `--parallel-epochs`
+    /// are unknown options and every parsed config keeps the single-shard shape.
     #[test]
     fn shards_flag_parses() {
-        let options = parse_args(&args(&["--shards", "4"]))
-            .expect("parses")
-            .expect("not help");
-        assert_eq!(options.config.shards, 4);
-        assert!(!options.config.parallel_epochs, "default is sequential");
-        let options = parse_args(&args(&["--shards", "8", "--parallel-epochs"]))
-            .expect("parses")
-            .expect("not help");
-        assert!(options.config.parallel_epochs);
-        assert!(parse_args(&args(&["--shards", "x"])).is_err());
-        assert!(
-            parse_args(&args(&["--shards", "0"])).is_err(),
-            "zero shards rejected at parse time"
-        );
+        let options = parse_args(&[]).expect("parses").expect("not help");
+        assert_eq!(options.config.shards, 1);
+        assert!(!options.config.parallel_epochs, "one sequential executor");
+        for flags in [
+            &["--shards", "4"][..],
+            &["--shards", "8", "--parallel-epochs"],
+            &["--parallel-epochs"],
+        ] {
+            let err = parse_args(&args(flags)).expect_err("flag was removed");
+            assert!(err.starts_with("unknown option"), "{flags:?}: {err}");
+        }
     }
 
+    /// `--workers` sizes the campaign server's pool; the run mode rejects it.
     #[test]
     fn workers_flag_parses() {
-        let options = parse_args(&args(&["--shards", "4", "--workers", "2"]))
+        let options = parse_serve_args(&args(&["--workers", "2"]))
             .expect("parses")
             .expect("not help");
         assert_eq!(options.config.workers, Some(2));
-        let options = parse_args(&[]).expect("parses").expect("not help");
-        assert_eq!(options.config.workers, None, "default auto-detects");
-        assert!(parse_args(&args(&["--workers", "x"])).is_err());
+        assert!(parse_serve_args(&args(&["--workers", "x"])).is_err());
+        let err = parse_args(&args(&["--workers", "2"])).expect_err("run mode has no pool");
+        assert!(err.starts_with("unknown option"), "{err}");
     }
 
     #[test]
