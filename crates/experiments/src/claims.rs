@@ -11,7 +11,7 @@ use manet_geom::{contention_free_distribution, expected_additional_coverage};
 use manet_net::{DynamicHelloParams, HelloIntervalPolicy};
 use manet_sim_engine::{SimDuration, SimRng};
 
-use crate::runner::{parallel_map, run_averaged, AveragedReport, Scale, BASE_SEED};
+use crate::runner::{Scale, Sweep, BASE_SEED};
 use crate::table::Table;
 
 /// One verified claim.
@@ -32,7 +32,8 @@ fn config(map: u32, scheme: SchemeSpec, scale: Scale) -> SimConfig {
 }
 
 /// Runs every encoded claim and renders the verdict table.
-pub fn run(scale: Scale) -> Vec<Table> {
+pub fn run(sweep: &mut Sweep) -> Vec<Table> {
+    let scale = sweep.scale;
     let mut claims = Vec::new();
 
     // ---- analytic claims (paper §2.2) -----------------------------------
@@ -108,10 +109,10 @@ pub fn run(scale: Scale) -> Vec<Table> {
         }),
         ("nc-1", config(1, SchemeSpec::NeighborCoverage, scale)),
     ];
-    let reports: Vec<AveragedReport> =
-        parallel_map(jobs.clone(), |(_, c)| run_averaged(c, scale.repeats()));
-    let get = |id: &str| -> &AveragedReport {
-        let idx = jobs.iter().position(|(j, _)| *j == id).expect("job exists");
+    let (ids, configs): (Vec<&str>, Vec<SimConfig>) = jobs.into_iter().unzip();
+    let reports = sweep.run(&configs);
+    let get = |id: &str| {
+        let idx = ids.iter().position(|j| *j == id).expect("job exists");
         &reports[idx]
     };
 

@@ -8,13 +8,14 @@
 //! model: capture softens the storm (flooding recovers some RE on dense
 //! maps) but the adaptive schemes still win on saving.
 
-use broadcast_core::{CaptureConfig, CounterThreshold, SchemeSpec};
+use broadcast_core::{CaptureConfig, CounterThreshold, SchemeSpec, SimConfig};
 
-use crate::runner::{parallel_map, run_averaged, Scale, BASE_SEED, PAPER_MAPS};
+use crate::runner::{Sweep, BASE_SEED, PAPER_MAPS};
 use crate::table::{pct, Table};
 
 /// Runs the capture-on/off grid.
-pub fn run(scale: Scale) -> Vec<Table> {
+pub fn run(sweep: &mut Sweep) -> Vec<Table> {
+    let scale = sweep.scale;
     let schemes = [
         SchemeSpec::Flooding,
         SchemeSpec::Counter(2),
@@ -29,15 +30,19 @@ pub fn run(scale: Scale) -> Vec<Table> {
             (0..modes.len()).flat_map(move |m| PAPER_MAPS.iter().map(move |&map| (s, m, map)))
         })
         .collect();
-    let reports = parallel_map(jobs.clone(), |&(s, m, map)| {
-        let mut builder = broadcast_core::SimConfig::builder(map, schemes[s].clone())
-            .broadcasts(scale.broadcasts())
-            .seed(BASE_SEED);
-        if let Some(capture) = modes[m].1 {
-            builder = builder.capture(capture);
-        }
-        run_averaged(&builder.build(), scale.repeats())
-    });
+    let configs: Vec<SimConfig> = jobs
+        .iter()
+        .map(|&(s, m, map)| {
+            let mut builder = SimConfig::builder(map, schemes[s].clone())
+                .broadcasts(scale.broadcasts())
+                .seed(BASE_SEED);
+            if let Some(capture) = modes[m].1 {
+                builder = builder.capture(capture);
+            }
+            builder.build()
+        })
+        .collect();
+    let reports = sweep.run(&configs);
 
     let mut headers = vec!["map".to_string()];
     for scheme in &schemes {

@@ -10,17 +10,16 @@
 //! network stops being static — and where the lost frames actually went,
 //! which the per-cause loss split answers.
 //!
-//! Unlike the `run_averaged` figures this one drives [`World`] directly:
-//! the per-cause loss and scenario counters live on the full [`SimReport`]
-//! and would be averaged away. Captured metrics still reach the
-//! `--metrics` document via [`record_metrics`].
+//! Unlike the other sweeps this one keeps every [`SimReport`] (via
+//! [`Sweep::run_reports`]): the per-cause loss and scenario counters live
+//! on the full report and would be averaged away.
 
 use broadcast_core::{
-    ChurnKind, CounterThreshold, Region, Scenario, SchemeSpec, SimConfig, SimReport, World,
+    ChurnKind, CounterThreshold, Region, Scenario, SchemeSpec, SimConfig, SimReport,
 };
 use manet_sim_engine::SimTime;
 
-use crate::runner::{parallel_map, record_metrics, Scale, BASE_SEED};
+use crate::runner::{Sweep, BASE_SEED};
 use crate::table::{pct, secs, Table};
 
 /// Host population of the churn runs (the paper's default).
@@ -74,7 +73,7 @@ fn churn_script() -> Scenario {
 }
 
 /// Runs the canonical churn script against four schemes on the 3x3 map.
-pub fn run(scale: Scale) -> Vec<Table> {
+pub fn run(sweep: &mut Sweep) -> Vec<Table> {
     let schemes = [
         SchemeSpec::Flooding,
         SchemeSpec::Counter(3),
@@ -82,19 +81,18 @@ pub fn run(scale: Scale) -> Vec<Table> {
         SchemeSpec::NeighborCoverage,
     ];
     let scenario = churn_script();
-    let repeats = scale.repeats();
-    let jobs: Vec<(usize, u64)> = (0..schemes.len())
-        .flat_map(|s| (0..repeats).map(move |r| (s, r)))
+    let configs: Vec<SimConfig> = schemes
+        .iter()
+        .map(|scheme| {
+            SimConfig::builder(3, scheme.clone())
+                .hosts(HOSTS)
+                .broadcasts(sweep.scale.broadcasts())
+                .scenario(scenario.clone())
+                .seed(BASE_SEED)
+                .build()
+        })
         .collect();
-    let reports: Vec<SimReport> = parallel_map(jobs, |&(s, rep)| {
-        let config = SimConfig::builder(3, schemes[s].clone())
-            .hosts(HOSTS)
-            .broadcasts(scale.broadcasts())
-            .scenario(scenario.clone())
-            .seed(BASE_SEED.wrapping_add(rep))
-            .build();
-        World::new(config).run()
-    });
+    let reports = sweep.run_reports(&configs);
 
     let mut headline = Table::new(
         "Extension - churn + fault injection on the 3x3 map, 100 hosts",
@@ -118,9 +116,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
             "churn applied".into(),
         ],
     );
-    for (s, scheme) in schemes.iter().enumerate() {
-        let chunk = &reports[s * repeats as usize..(s + 1) * repeats as usize];
-        record_metrics(chunk);
+    for (scheme, chunk) in schemes.iter().zip(&reports) {
         let n = chunk.len() as f64;
         headline.row(vec![
             scheme.label(),

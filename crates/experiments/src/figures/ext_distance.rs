@@ -8,11 +8,11 @@
 
 use broadcast_core::{AreaThreshold, CounterThreshold, SchemeSpec};
 
-use crate::runner::{run_grid, Scale, PAPER_MAPS};
+use crate::runner::{run_grid, Sweep, PAPER_MAPS};
 use crate::table::{pct, Table};
 
 /// Runs distance-based baselines against AC/AL on every map.
-pub fn run(scale: Scale) -> Vec<Table> {
+pub fn run(sweep: &mut Sweep) -> Vec<Table> {
     let schemes = vec![
         SchemeSpec::Distance(100.0),
         SchemeSpec::Distance(250.0),
@@ -20,7 +20,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
         SchemeSpec::AdaptiveCounter(CounterThreshold::paper_recommended()),
         SchemeSpec::AdaptiveLocation(AreaThreshold::paper_recommended()),
     ];
-    let grid = run_grid(&PAPER_MAPS, &schemes, scale, |b| b);
+    let grid = run_grid(&PAPER_MAPS, &schemes, sweep, |b| b);
     let mut headers = vec!["map".to_string()];
     for s in &schemes {
         headers.push(format!("RE% {}", s.label()));

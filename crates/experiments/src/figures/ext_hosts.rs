@@ -9,16 +9,17 @@
 //! at 1000 hosts its storm makes runs quadratically slow without adding
 //! information.
 
-use broadcast_core::{CounterThreshold, SchemeSpec};
+use broadcast_core::{CounterThreshold, SchemeSpec, SimConfig};
 
-use crate::runner::{parallel_map, run_averaged, Scale, BASE_SEED};
+use crate::runner::{Sweep, BASE_SEED};
 use crate::table::{pct, secs, Table};
 
 /// Host populations swept on the 5×5 map.
 const HOSTS: [u32; 3] = [100, 300, 1_000];
 
 /// Runs C=3 vs AC vs NC on the 5x5 map across host populations.
-pub fn run(scale: Scale) -> Vec<Table> {
+pub fn run(sweep: &mut Sweep) -> Vec<Table> {
+    let scale = sweep.scale;
     let schemes = [
         SchemeSpec::Counter(3),
         SchemeSpec::AdaptiveCounter(CounterThreshold::paper_recommended()),
@@ -27,14 +28,17 @@ pub fn run(scale: Scale) -> Vec<Table> {
     let jobs: Vec<(usize, u32)> = (0..schemes.len())
         .flat_map(|s| HOSTS.iter().map(move |&h| (s, h)))
         .collect();
-    let reports = parallel_map(jobs.clone(), |&(s, hosts)| {
-        let config = broadcast_core::SimConfig::builder(5, schemes[s].clone())
-            .hosts(hosts)
-            .broadcasts(scale.broadcasts())
-            .seed(BASE_SEED)
-            .build();
-        run_averaged(&config, scale.repeats())
-    });
+    let configs: Vec<SimConfig> = jobs
+        .iter()
+        .map(|&(s, hosts)| {
+            SimConfig::builder(5, schemes[s].clone())
+                .hosts(hosts)
+                .broadcasts(scale.broadcasts())
+                .seed(BASE_SEED)
+                .build()
+        })
+        .collect();
+    let reports = sweep.run(&configs);
 
     let mut headers = vec!["hosts".to_string()];
     for scheme in &schemes {

@@ -5,17 +5,18 @@
 //! broadcasts contend with each other, so flooding's storm compounds
 //! while the suppression schemes degrade far more gracefully.
 
-use broadcast_core::{CounterThreshold, SchemeSpec};
+use broadcast_core::{CounterThreshold, SchemeSpec, SimConfig};
 use manet_sim_engine::SimDuration;
 
-use crate::runner::{parallel_map, run_averaged, Scale, BASE_SEED};
+use crate::runner::{Sweep, BASE_SEED};
 use crate::table::{pct, secs, Table};
 
 /// Mean interarrival values swept, in milliseconds (uniform on [0, 2x]).
 const MEAN_INTERARRIVAL_MS: [u64; 4] = [250, 500, 1_000, 2_000];
 
 /// Runs flooding vs C=2 vs AC on the 3×3 map across offered loads.
-pub fn run(scale: Scale) -> Vec<Table> {
+pub fn run(sweep: &mut Sweep) -> Vec<Table> {
+    let scale = sweep.scale;
     let schemes = [
         SchemeSpec::Flooding,
         SchemeSpec::Counter(2),
@@ -24,14 +25,17 @@ pub fn run(scale: Scale) -> Vec<Table> {
     let jobs: Vec<(usize, u64)> = (0..schemes.len())
         .flat_map(|s| MEAN_INTERARRIVAL_MS.iter().map(move |&m| (s, m)))
         .collect();
-    let reports = parallel_map(jobs.clone(), |&(s, mean_ms)| {
-        let config = broadcast_core::SimConfig::builder(3, schemes[s].clone())
-            .broadcasts(scale.broadcasts())
-            .seed(BASE_SEED)
-            .max_interarrival(SimDuration::from_millis(mean_ms * 2))
-            .build();
-        run_averaged(&config, scale.repeats())
-    });
+    let configs: Vec<SimConfig> = jobs
+        .iter()
+        .map(|&(s, mean_ms)| {
+            SimConfig::builder(3, schemes[s].clone())
+                .broadcasts(scale.broadcasts())
+                .seed(BASE_SEED)
+                .max_interarrival(SimDuration::from_millis(mean_ms * 2))
+                .build()
+        })
+        .collect();
+    let reports = sweep.run(&configs);
 
     let mut headers = vec!["mean gap (s)".to_string()];
     for scheme in &schemes {

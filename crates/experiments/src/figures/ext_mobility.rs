@@ -7,13 +7,14 @@
 //! hosts toward the map center (the classic density bias), which tends to
 //! raise connectivity on sparse maps.
 
-use broadcast_core::{CounterThreshold, MobilitySpec, SchemeSpec};
+use broadcast_core::{CounterThreshold, MobilitySpec, SchemeSpec, SimConfig};
 
-use crate::runner::{parallel_map, run_averaged, Scale, BASE_SEED, PAPER_MAPS};
+use crate::runner::{Sweep, BASE_SEED, PAPER_MAPS};
 use crate::table::{pct, Table};
 
 /// Runs `C = 2` and AC under both mobility models.
-pub fn run(scale: Scale) -> Vec<Table> {
+pub fn run(sweep: &mut Sweep) -> Vec<Table> {
+    let scale = sweep.scale;
     let schemes = [
         SchemeSpec::Counter(2),
         SchemeSpec::AdaptiveCounter(CounterThreshold::paper_recommended()),
@@ -27,14 +28,17 @@ pub fn run(scale: Scale) -> Vec<Table> {
             (0..models.len()).flat_map(move |m| PAPER_MAPS.iter().map(move |&map| (s, m, map)))
         })
         .collect();
-    let reports = parallel_map(jobs.clone(), |&(s, m, map)| {
-        let config = broadcast_core::SimConfig::builder(map, schemes[s].clone())
-            .broadcasts(scale.broadcasts())
-            .seed(BASE_SEED)
-            .mobility(models[m].1)
-            .build();
-        run_averaged(&config, scale.repeats())
-    });
+    let configs: Vec<SimConfig> = jobs
+        .iter()
+        .map(|&(s, m, map)| {
+            SimConfig::builder(map, schemes[s].clone())
+                .broadcasts(scale.broadcasts())
+                .seed(BASE_SEED)
+                .mobility(models[m].1)
+                .build()
+        })
+        .collect();
+    let reports = sweep.run(&configs);
 
     let mut headers = vec!["map".to_string()];
     for scheme in &schemes {

@@ -5,13 +5,14 @@
 //! quantifies the gap: the oracle bound shows how much of any RE loss is
 //! due to stale tables rather than to the scheme's decision rule.
 
-use broadcast_core::{AreaThreshold, CounterThreshold, NeighborInfo, SchemeSpec};
+use broadcast_core::{AreaThreshold, CounterThreshold, NeighborInfo, SchemeSpec, SimConfig};
 
-use crate::runner::{parallel_map, run_averaged, Scale, BASE_SEED, PAPER_MAPS};
+use crate::runner::{Sweep, BASE_SEED, PAPER_MAPS};
 use crate::table::{pct, Table};
 
 /// Runs AC, AL, and NC under oracle and HELLO neighbor information.
-pub fn run(scale: Scale) -> Vec<Table> {
+pub fn run(sweep: &mut Sweep) -> Vec<Table> {
+    let scale = sweep.scale;
     let schemes = [
         SchemeSpec::AdaptiveCounter(CounterThreshold::paper_recommended()),
         SchemeSpec::AdaptiveLocation(AreaThreshold::paper_recommended()),
@@ -29,14 +30,17 @@ pub fn run(scale: Scale) -> Vec<Table> {
             (0..infos.len()).flat_map(move |i| PAPER_MAPS.iter().map(move |&m| (s, i, m)))
         })
         .collect();
-    let reports = parallel_map(jobs.clone(), |&(s, i, map)| {
-        let config = broadcast_core::SimConfig::builder(map, schemes[s].clone())
-            .broadcasts(scale.broadcasts())
-            .seed(BASE_SEED)
-            .neighbor_info(infos[i].1.clone())
-            .build();
-        run_averaged(&config, scale.repeats())
-    });
+    let configs: Vec<SimConfig> = jobs
+        .iter()
+        .map(|&(s, i, map)| {
+            SimConfig::builder(map, schemes[s].clone())
+                .broadcasts(scale.broadcasts())
+                .seed(BASE_SEED)
+                .neighbor_info(infos[i].1.clone())
+                .build()
+        })
+        .collect();
+    let reports = sweep.run(&configs);
 
     let mut headers = vec!["map".to_string()];
     for scheme in &schemes {

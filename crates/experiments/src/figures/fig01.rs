@@ -4,7 +4,7 @@
 use manet_geom::expected_additional_coverage;
 use manet_sim_engine::SimRng;
 
-use crate::runner::{Scale, BASE_SEED};
+use crate::runner::{Scale, Sweep, BASE_SEED};
 use crate::table::Table;
 
 /// Monte-Carlo trial counts per scale.
@@ -17,9 +17,9 @@ fn trials(scale: Scale) -> usize {
 }
 
 /// Regenerates Fig. 1.
-pub fn run(scale: Scale) -> Vec<Table> {
+pub fn run(sweep: &mut Sweep) -> Vec<Table> {
     let mut rng = SimRng::seed_from(BASE_SEED);
-    let eac = expected_additional_coverage(10, trials(scale), 800, &mut rng);
+    let eac = expected_additional_coverage(10, trials(sweep.scale), 800, &mut rng);
     let mut table = Table::new(
         "Fig. 1 - expected additional coverage EAC(k) / pi r^2",
         vec!["k".into(), "EAC(k)".into()],

@@ -4,7 +4,7 @@
 use manet_geom::contention_free_distribution;
 use manet_sim_engine::SimRng;
 
-use crate::runner::{Scale, BASE_SEED};
+use crate::runner::{Scale, Sweep, BASE_SEED};
 use crate::table::Table;
 
 fn trials(scale: Scale) -> usize {
@@ -16,7 +16,7 @@ fn trials(scale: Scale) -> usize {
 }
 
 /// Regenerates Fig. 2 for `n = 1..=10`, reporting `k = 0..=4`.
-pub fn run(scale: Scale) -> Vec<Table> {
+pub fn run(sweep: &mut Sweep) -> Vec<Table> {
     let mut rng = SimRng::seed_from(BASE_SEED + 2);
     let mut table = Table::new(
         "Fig. 2 - probability of k contention-free hosts among n receivers",
@@ -30,7 +30,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
         ],
     );
     for n in 1..=10usize {
-        let dist = contention_free_distribution(n, trials(scale), &mut rng);
+        let dist = contention_free_distribution(n, trials(sweep.scale), &mut rng);
         let cell = |k: usize| dist.get(k).map_or("-".to_string(), |p| format!("{p:.4}"));
         table.row(vec![
             n.to_string(),

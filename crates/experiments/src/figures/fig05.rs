@@ -10,17 +10,17 @@
 
 use broadcast_core::{CounterThreshold, DescentShape, SchemeSpec};
 
-use crate::runner::{run_grid, AveragedReport, Scale, PAPER_MAPS};
+use crate::runner::{run_grid, AveragedReport, Sweep, PAPER_MAPS};
 use crate::table::{pct, Table};
 
 /// Builds the RE/SRB table for a set of AC threshold candidates.
-fn candidate_table(title: &str, candidates: Vec<CounterThreshold>, scale: Scale) -> Table {
+fn candidate_table(title: &str, candidates: Vec<CounterThreshold>, sweep: &mut Sweep) -> Table {
     let schemes: Vec<SchemeSpec> = candidates
         .iter()
         .cloned()
         .map(SchemeSpec::AdaptiveCounter)
         .collect();
-    let grid = run_grid(&PAPER_MAPS, &schemes, scale, |b| b);
+    let grid = run_grid(&PAPER_MAPS, &schemes, sweep, |b| b);
     let mut headers = vec!["map".to_string()];
     for c in &candidates {
         headers.push(format!("RE% {}", c.label()));
@@ -40,7 +40,7 @@ fn candidate_table(title: &str, candidates: Vec<CounterThreshold>, scale: Scale)
 }
 
 /// Fig. 5a: the ramp slope before `n₁`.
-pub fn run_a(scale: Scale) -> Vec<Table> {
+pub fn run_a(sweep: &mut Sweep) -> Vec<Table> {
     vec![candidate_table(
         "Fig. 5a - C(n) ramp slope (22233344455..., 22334455..., 23455...)",
         vec![
@@ -48,33 +48,33 @@ pub fn run_a(scale: Scale) -> Vec<Table> {
             CounterThreshold::ramp(2),
             CounterThreshold::ramp(1),
         ],
-        scale,
+        sweep,
     )]
 }
 
 /// Fig. 5b: choosing `n₁`.
-pub fn run_b(scale: Scale) -> Vec<Table> {
+pub fn run_b(sweep: &mut Sweep) -> Vec<Table> {
     vec![candidate_table(
         "Fig. 5b - choosing n1 (233..., 2344..., 23455..., 234566...)",
         (2..=5).map(CounterThreshold::ramp_to).collect(),
-        scale,
+        sweep,
     )]
 }
 
 /// Fig. 5c: choosing `n₂` with `n₁ = 4`.
-pub fn run_c(scale: Scale) -> Vec<Table> {
+pub fn run_c(sweep: &mut Sweep) -> Vec<Table> {
     vec![candidate_table(
         "Fig. 5c - choosing n2 with n1=4 (linear descent)",
         [8, 12, 16]
             .into_iter()
             .map(|n2| CounterThreshold::with_descent(4, n2, DescentShape::Linear))
             .collect(),
-        scale,
+        sweep,
     )]
 }
 
 /// Fig. 5d: the descent shape between `n₁ = 4` and `n₂ = 12`.
-pub fn run_d(scale: Scale) -> Vec<Table> {
+pub fn run_d(sweep: &mut Sweep) -> Vec<Table> {
     vec![candidate_table(
         "Fig. 5d - descent shape between n1=4 and n2=12",
         [
@@ -85,6 +85,6 @@ pub fn run_d(scale: Scale) -> Vec<Table> {
         .into_iter()
         .map(|s| CounterThreshold::with_descent(4, 12, s))
         .collect(),
-        scale,
+        sweep,
     )]
 }

@@ -4,11 +4,11 @@
 
 use broadcast_core::{CounterThreshold, DescentShape};
 
-use crate::runner::Scale;
+use crate::runner::Sweep;
 use crate::table::Table;
 
 /// Regenerates Fig. 6 as a value table for `n = 1..=16`.
-pub fn run(_scale: Scale) -> Vec<Table> {
+pub fn run(_sweep: &mut Sweep) -> Vec<Table> {
     let shapes = [
         ("convex", DescentShape::Convex),
         ("linear (recommended)", DescentShape::Linear),

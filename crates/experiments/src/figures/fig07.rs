@@ -4,7 +4,7 @@
 
 use broadcast_core::{CounterThreshold, SchemeSpec};
 
-use crate::runner::{run_grid, Scale, PAPER_MAPS};
+use crate::runner::{run_grid, Sweep, PAPER_MAPS};
 use crate::table::{pct, secs, Table};
 
 fn schemes() -> Vec<SchemeSpec> {
@@ -17,9 +17,9 @@ fn schemes() -> Vec<SchemeSpec> {
 }
 
 /// Regenerates Fig. 7a (RE/SRB) and Fig. 7b (latency).
-pub fn run(scale: Scale) -> Vec<Table> {
+pub fn run(sweep: &mut Sweep) -> Vec<Table> {
     let schemes = schemes();
-    let grid = run_grid(&PAPER_MAPS, &schemes, scale, |b| b);
+    let grid = run_grid(&PAPER_MAPS, &schemes, sweep, |b| b);
 
     let mut headers = vec!["map".to_string()];
     for s in &schemes {

@@ -3,7 +3,7 @@
 
 use broadcast_core::AreaThreshold;
 
-use crate::runner::Scale;
+use crate::runner::Sweep;
 use crate::table::Table;
 
 /// The `(n₁, n₂)` pairs swept in Fig. 9, including the paper's named
@@ -22,7 +22,7 @@ pub fn candidate_pairs() -> Vec<(u32, u32)> {
 }
 
 /// Regenerates Fig. 8 as a value table for `n = 1..=16`.
-pub fn run(_scale: Scale) -> Vec<Table> {
+pub fn run(_sweep: &mut Sweep) -> Vec<Table> {
     let functions: Vec<AreaThreshold> = candidate_pairs()
         .into_iter()
         .map(|(n1, n2)| AreaThreshold::adaptive(n1, n2))

@@ -7,16 +7,16 @@
 use broadcast_core::{AreaThreshold, SchemeSpec};
 
 use crate::figures::fig08::candidate_pairs;
-use crate::runner::{run_grid, Scale, PAPER_MAPS};
+use crate::runner::{run_grid, Sweep, PAPER_MAPS};
 use crate::table::{pct, Table};
 
 /// Regenerates Fig. 9: RE and SRB per candidate `(n₁, n₂)` per map.
-pub fn run(scale: Scale) -> Vec<Table> {
+pub fn run(sweep: &mut Sweep) -> Vec<Table> {
     let schemes: Vec<SchemeSpec> = candidate_pairs()
         .into_iter()
         .map(|(n1, n2)| SchemeSpec::AdaptiveLocation(AreaThreshold::adaptive(n1, n2)))
         .collect();
-    let grid = run_grid(&PAPER_MAPS, &schemes, scale, |b| b);
+    let grid = run_grid(&PAPER_MAPS, &schemes, sweep, |b| b);
 
     let mut re = Table::new(
         "Fig. 9 - adaptive location-based: RE% per (n1,n2) candidate",

@@ -7,33 +7,37 @@
 //! density; sparse maps churn more, so hosts beacon near `hi_min` (many
 //! hellos), while the quiet 1×1 map settles near `hi_max` (few hellos).
 
-use broadcast_core::{NeighborInfo, SchemeSpec};
+use broadcast_core::{NeighborInfo, SchemeSpec, SimConfig};
 use manet_net::{DynamicHelloParams, HelloIntervalPolicy};
 use manet_sim_engine::SimDuration;
 
-use crate::runner::{parallel_map, run_averaged, Scale, BASE_SEED, PAPER_MAPS};
+use crate::runner::{Sweep, BASE_SEED, PAPER_MAPS};
 use crate::table::{pct, Table};
 
 const SPEEDS_KMH: [f64; 4] = [20.0, 40.0, 60.0, 80.0];
 
 /// Regenerates Fig. 12a/12b.
-pub fn run(scale: Scale) -> Vec<Table> {
+pub fn run(sweep: &mut Sweep) -> Vec<Table> {
+    let scale = sweep.scale;
     let jobs: Vec<(u32, f64)> = PAPER_MAPS
         .iter()
         .flat_map(|&m| SPEEDS_KMH.iter().map(move |&v| (m, v)))
         .collect();
-    let reports = parallel_map(jobs.clone(), |&(map, speed)| {
-        let config = broadcast_core::SimConfig::builder(map, SchemeSpec::NeighborCoverage)
-            .broadcasts(scale.broadcasts())
-            .seed(BASE_SEED)
-            .max_speed_kmh(speed)
-            .neighbor_info(NeighborInfo::Hello(HelloIntervalPolicy::Dynamic(
-                DynamicHelloParams::paper(),
-            )))
-            .warmup(SimDuration::from_secs(12))
-            .build();
-        run_averaged(&config, scale.repeats())
-    });
+    let configs: Vec<SimConfig> = jobs
+        .iter()
+        .map(|&(map, speed)| {
+            SimConfig::builder(map, SchemeSpec::NeighborCoverage)
+                .broadcasts(scale.broadcasts())
+                .seed(BASE_SEED)
+                .max_speed_kmh(speed)
+                .neighbor_info(NeighborInfo::Hello(HelloIntervalPolicy::Dynamic(
+                    DynamicHelloParams::paper(),
+                )))
+                .warmup(SimDuration::from_secs(12))
+                .build()
+        })
+        .collect();
+    let reports = sweep.run(&configs);
     let report = |map: u32, speed: f64| {
         let idx = jobs
             .iter()

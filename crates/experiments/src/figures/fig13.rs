@@ -8,11 +8,11 @@
 //! maps; NC is strongest on dense maps; AC/AL are strongest on sparse
 //! maps; the adaptive schemes hold RE ≈ 95 %+ everywhere.
 
-use broadcast_core::{AreaThreshold, CounterThreshold, NeighborInfo, SchemeSpec};
+use broadcast_core::{AreaThreshold, CounterThreshold, NeighborInfo, SchemeSpec, SimConfig};
 use manet_net::{DynamicHelloParams, HelloIntervalPolicy};
 use manet_sim_engine::SimDuration;
 
-use crate::runner::{parallel_map, run_averaged, AveragedReport, Scale, BASE_SEED, PAPER_MAPS};
+use crate::runner::{Sweep, BASE_SEED, PAPER_MAPS};
 use crate::table::{pct, secs, Table};
 
 /// The compared schemes with their per-scheme neighbor-info policies.
@@ -38,21 +38,25 @@ fn roster() -> Vec<(SchemeSpec, NeighborInfo)> {
 }
 
 /// Regenerates Fig. 13: one RE/SRB/latency table per map.
-pub fn run(scale: Scale) -> Vec<Table> {
+pub fn run(sweep: &mut Sweep) -> Vec<Table> {
+    let scale = sweep.scale;
     let roster = roster();
     let jobs: Vec<(usize, u32)> = (0..roster.len())
         .flat_map(|s| PAPER_MAPS.iter().map(move |&m| (s, m)))
         .collect();
-    let reports: Vec<AveragedReport> = parallel_map(jobs.clone(), |&(si, map)| {
-        let (scheme, info) = &roster[si];
-        let config = broadcast_core::SimConfig::builder(map, scheme.clone())
-            .broadcasts(scale.broadcasts())
-            .seed(BASE_SEED)
-            .neighbor_info(info.clone())
-            .warmup(SimDuration::from_secs(12))
-            .build();
-        run_averaged(&config, scale.repeats())
-    });
+    let configs: Vec<SimConfig> = jobs
+        .iter()
+        .map(|&(si, map)| {
+            let (scheme, info) = &roster[si];
+            SimConfig::builder(map, scheme.clone())
+                .broadcasts(scale.broadcasts())
+                .seed(BASE_SEED)
+                .neighbor_info(info.clone())
+                .warmup(SimDuration::from_secs(12))
+                .build()
+        })
+        .collect();
+    let reports = sweep.run(&configs);
 
     let mut tables = Vec::new();
     for &map in &PAPER_MAPS {

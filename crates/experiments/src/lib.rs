@@ -45,17 +45,16 @@ mod metrics_out;
 mod runner;
 mod table;
 
-pub use manet_sim_engine::DEFAULT_LATENCY_BOUNDS_S;
 pub use metrics_out::render_metrics_json;
 pub use runner::{
-    drain_metrics_capture, enable_metrics_capture, enable_metrics_capture_with_bounds,
-    metrics_record, metrics_record_with_bounds, parallel_map, record_metrics, run_averaged,
-    run_grid, AveragedReport, MetricsRecord, RunMetricsSummary, Scale, BASE_SEED, PAPER_MAPS,
+    metrics_record, run_grid, AveragedReport, MetricsRecord, RunMetricsSummary, Scale, Sweep,
+    BASE_SEED, PAPER_MAPS,
 };
 pub use table::{pct, secs, Table};
 
-/// A figure generator: takes a [`Scale`], returns rendered tables.
-pub type FigureRunner = fn(Scale) -> Vec<Table>;
+/// A figure generator: runs its configurations on the figure's own
+/// [`Sweep`] and returns rendered tables.
+pub type FigureRunner = fn(&mut Sweep) -> Vec<Table>;
 
 /// Every figure id the harness knows, with its runner.
 pub fn all_figures() -> Vec<(&'static str, FigureRunner)> {

@@ -12,8 +12,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use manet_experiments::{
-    all_figures, drain_metrics_capture, enable_metrics_capture, render_metrics_json, FigureRunner,
-    MetricsRecord, Scale,
+    all_figures, render_metrics_json, FigureRunner, MetricsRecord, Scale, Sweep,
 };
 
 fn usage() -> &'static str {
@@ -175,12 +174,10 @@ fn main() -> ExitCode {
     for (id, runner) in selected {
         // simlint: allow(wall-clock) — wall time never feeds the sim, only stderr
         let started = Instant::now();
+        let mut sweep = Sweep::new(scale);
+        let tables = runner(&mut sweep);
         if metrics_path.is_some() {
-            enable_metrics_capture();
-        }
-        let tables = runner(scale);
-        if metrics_path.is_some() {
-            captured.push((id.to_string(), drain_metrics_capture()));
+            captured.push((id.to_string(), sweep.into_records()));
         }
         let elapsed = started.elapsed();
         for (i, table) in tables.iter().enumerate() {

@@ -96,9 +96,9 @@ fn registry_for(record: &MetricsRecord) -> MetricsRegistry {
 
 /// Renders the full `--metrics` document for the figures that ran, in run
 /// order. `figures` pairs each figure id with the records its runs
-/// captured (already sorted by [`drain_metrics_capture`]).
+/// produced (already sorted by [`Sweep::into_records`]).
 ///
-/// [`drain_metrics_capture`]: crate::runner::drain_metrics_capture
+/// [`Sweep::into_records`]: crate::runner::Sweep::into_records
 pub fn render_metrics_json(scale: &str, figures: &[(String, Vec<MetricsRecord>)]) -> String {
     let mut out = String::new();
     out.push_str("{\"schema\":\"manet-broadcast-metrics/1\",\"scale\":\"");
@@ -134,7 +134,7 @@ pub fn render_metrics_json(scale: &str, figures: &[(String, Vec<MetricsRecord>)]
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{drain_metrics_capture, enable_metrics_capture, run_averaged};
+    use crate::runner::{Scale, Sweep};
     use broadcast_core::{SchemeSpec, SimConfig};
 
     #[test]
@@ -144,12 +144,9 @@ mod tests {
             .broadcasts(4)
             .seed(11)
             .build();
-        enable_metrics_capture();
-        let _ = run_averaged(&config, 1);
-        let records: Vec<_> = drain_metrics_capture()
-            .into_iter()
-            .filter(|r| r.scheme == "C=2" && r.map == "3x3")
-            .collect();
+        let mut sweep = Sweep::new(Scale::Quick);
+        let _ = sweep.run(&[config]);
+        let records = sweep.into_records();
         assert_eq!(records.len(), 1);
         let json = render_metrics_json("quick", &[("fig5a".to_string(), records)]);
 

@@ -1,8 +1,8 @@
-//! Shared experiment machinery: run scales, seed-averaged simulation
-//! runs, and a std-only parallel map over independent configurations.
+//! Shared experiment machinery: run scales and the [`Sweep`] that runs a
+//! figure's configurations in parallel, averages their repeats, and
+//! records their metrics.
 
 use std::num::NonZeroUsize;
-use std::sync::Mutex;
 use std::thread;
 
 use broadcast_core::{
@@ -138,21 +138,12 @@ pub struct RunMetricsSummary {
 
 impl RunMetricsSummary {
     fn from_reports(reports: &[SimReport]) -> Self {
-        Self::from_reports_with_bounds(reports, &DEFAULT_LATENCY_BOUNDS_S)
-    }
-
-    /// Sums `reports` with explicit latency-histogram bucket edges in
-    /// seconds (strictly increasing; see [`Histogram::new`]). The default
-    /// edges ([`DEFAULT_LATENCY_BOUNDS_S`]) suit the paper's
-    /// few-millisecond to few-hundred-millisecond range; sweeps whose
-    /// latencies live elsewhere (large maps, heavy churn) pass their own.
-    pub fn from_reports_with_bounds(reports: &[SimReport], latency_bounds_s: &[f64]) -> Self {
         let mut losses = LossCounters::default();
         let mut mac = MacStats::default();
         let mut net = NetActivity::default();
         let mut suppression = SuppressionCounts::default();
         let mut scenario: Option<ScenarioCounts> = None;
-        let mut latency = Histogram::new(latency_bounds_s);
+        let mut latency = Histogram::new(&DEFAULT_LATENCY_BOUNDS_S);
         for r in reports {
             losses.merge(&r.losses);
             mac.merge(&r.mac);
@@ -187,8 +178,8 @@ impl RunMetricsSummary {
     }
 }
 
-/// One captured `(scheme, map)` data point, recorded by [`run_averaged`]
-/// while metrics capture is enabled.
+/// One `(scheme, map)` data point of a [`Sweep`]: the metrics of every
+/// repeat of one configuration, summed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricsRecord {
     /// Scheme label of the underlying runs.
@@ -201,87 +192,8 @@ pub struct MetricsRecord {
     pub metrics: RunMetricsSummary,
 }
 
-/// What an enabled capture sink holds: the records so far plus the
-/// latency-histogram bucket edges every record is summed with.
-#[derive(Debug)]
-struct CaptureState {
-    latency_bounds_s: Vec<f64>,
-    records: Vec<MetricsRecord>,
-}
-
-/// The capture sink: `None` while disabled (the common case — recording
-/// costs nothing when off). A plain `Mutex` rather than thread-locals
-/// because `run_grid` fans runs out over worker threads.
-static METRICS_SINK: Mutex<Option<CaptureState>> = Mutex::new(None);
-
-fn sink_lock() -> std::sync::MutexGuard<'static, Option<CaptureState>> {
-    // A worker that panicked mid-run poisons the lock; the sink's data is
-    // append-only and stays coherent, so recover rather than cascade.
-    METRICS_SINK.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Starts capturing a [`MetricsRecord`] per [`run_averaged`] call with the
-/// default latency buckets, discarding anything captured earlier.
-pub fn enable_metrics_capture() {
-    enable_metrics_capture_with_bounds(&DEFAULT_LATENCY_BOUNDS_S);
-}
-
-/// Starts capturing with explicit latency-histogram bucket edges, seconds
-/// (strictly increasing). Existing captures are discarded.
-pub fn enable_metrics_capture_with_bounds(latency_bounds_s: &[f64]) {
-    *sink_lock() = Some(CaptureState {
-        latency_bounds_s: latency_bounds_s.to_vec(),
-        records: Vec::new(),
-    });
-}
-
-/// Stops capturing and returns the captured records sorted by
-/// `(scheme, map)` — worker scheduling must not leak into the output.
-pub fn drain_metrics_capture() -> Vec<MetricsRecord> {
-    let mut records = sink_lock()
-        .take()
-        .map(|state| state.records)
-        .unwrap_or_default();
-    records.sort_by(|a, b| (&a.scheme, &a.map).cmp(&(&b.scheme, &b.map)));
-    records
-}
-
-/// Runs `config` `repeats` times with seeds `seed, seed+1, …` and averages
-/// the headline metrics. The same seed is reused across schemes by the
-/// figure modules, giving paired comparisons (identical placements,
-/// trajectories, and workloads).
-pub fn run_averaged(config: &SimConfig, repeats: u64) -> AveragedReport {
-    assert!(repeats > 0, "need at least one repeat");
-    // Repeats are independent — repeat `i` owns seed `seed + i` and nothing
-    // else — so they fan out over worker threads like the figure sweeps do.
-    // `parallel_map` returns outputs in input order, so the averages and
-    // the summed metrics below fold the reports in exactly the sequential
-    // order regardless of worker scheduling (bit-identical output).
-    let reports: Vec<SimReport> = parallel_map((0..repeats).collect(), |&i| {
-        let mut c = config.clone();
-        c.seed = config.seed.wrapping_add(i);
-        World::new(c).run()
-    });
-    let averaged = AveragedReport::from_reports(&reports);
-    record_metrics(&reports);
-    averaged
-}
-
-/// Feeds already-run reports into the capture sink as one record (a no-op
-/// while capture is disabled). [`run_averaged`] calls this itself; figures
-/// that drive [`World`] directly — because they need the full
-/// [`SimReport`], e.g. per-cause loss splits — call it so their runs still
-/// land in the `--metrics` document.
-pub fn record_metrics(reports: &[SimReport]) {
-    let mut sink = sink_lock();
-    if let Some(state) = sink.as_mut() {
-        let record = metrics_record_with_bounds(reports, &state.latency_bounds_s);
-        state.records.push(record);
-    }
-}
-
 /// Builds the `--metrics` record for reports that already ran — the same
-/// summation [`run_averaged`] feeds the capture sink, exposed so single-run
+/// summation a [`Sweep`] records per configuration, exposed so single-run
 /// front ends (`manet-sim --metrics`) can emit the identical document.
 ///
 /// # Panics
@@ -297,41 +209,73 @@ pub fn metrics_record(reports: &[SimReport]) -> MetricsRecord {
     }
 }
 
-/// [`metrics_record`] with explicit latency-histogram bucket edges.
-///
-/// # Panics
-///
-/// Panics when `reports` is empty or the edges are not strictly
-/// increasing.
-pub fn metrics_record_with_bounds(
-    reports: &[SimReport],
-    latency_bounds_s: &[f64],
-) -> MetricsRecord {
-    assert!(!reports.is_empty(), "need at least one report");
-    MetricsRecord {
-        scheme: reports[0].scheme.clone(),
-        map: reports[0].map.clone(),
-        repeats: reports.len(),
-        metrics: RunMetricsSummary::from_reports_with_bounds(reports, latency_bounds_s),
+/// The run context of one figure: its [`Scale`] and one [`MetricsRecord`]
+/// per configuration it ran, in the order it ran them.
+#[derive(Debug)]
+pub struct Sweep {
+    /// How much work each data point does.
+    pub scale: Scale,
+    records: Vec<MetricsRecord>,
+}
+
+impl Sweep {
+    /// An empty sweep at `scale`.
+    pub fn new(scale: Scale) -> Self {
+        Sweep {
+            scale,
+            records: Vec::new(),
+        }
+    }
+
+    /// Runs every configuration `scale.repeats()` times and averages each
+    /// one's headline metrics, in `configs` order. See [`Sweep::run_reports`].
+    pub fn run(&mut self, configs: &[SimConfig]) -> Vec<AveragedReport> {
+        self.run_reports(configs)
+            .iter()
+            .map(|reports| AveragedReport::from_reports(reports))
+            .collect()
+    }
+
+    /// Runs every configuration `scale.repeats()` times with seeds
+    /// `seed, seed+1, …` and returns each one's reports, in `configs`
+    /// order. The figure modules reuse one seed across schemes, giving
+    /// paired comparisons (identical placements, trajectories, and
+    /// workloads).
+    ///
+    /// Every `(config, repeat)` pair is one job of a single [`fan_out`]
+    /// over `available_parallelism` threads. Outputs come back in job
+    /// order, so each config's repeats fold in the sequential order and
+    /// its [`MetricsRecord`] is appended on the calling thread, in config
+    /// order: worker scheduling never reaches the results.
+    pub fn run_reports(&mut self, configs: &[SimConfig]) -> Vec<Vec<SimReport>> {
+        let repeats = self.scale.repeats() as usize;
+        let helpers = thread::available_parallelism().map_or(1, NonZeroUsize::get) - 1;
+        let mut reports = fan_out(configs.len() * repeats, helpers, |job| {
+            let mut config = configs[job / repeats].clone();
+            config.seed = config.seed.wrapping_add((job % repeats) as u64);
+            World::new(config).run()
+        })
+        .into_iter();
+        configs
+            .iter()
+            .map(|_| {
+                let chunk: Vec<SimReport> = reports.by_ref().take(repeats).collect();
+                self.records.push(metrics_record(&chunk));
+                chunk
+            })
+            .collect()
+    }
+
+    /// The recorded data points, stable-sorted by `(scheme, map)`: ties
+    /// (one label pair run under different settings) keep job order.
+    pub fn into_records(mut self) -> Vec<MetricsRecord> {
+        self.records
+            .sort_by(|a, b| (&a.scheme, &a.map).cmp(&(&b.scheme, &b.map)));
+        self.records
     }
 }
 
-/// Evaluates `job` over `inputs` on up to `available_parallelism` OS
-/// threads (the caller among them), preserving input order. Simulations
-/// are independent and CPU-bound, so sim-engine's [`fan_out`] is all the
-/// parallelism the harness needs; a panic in `job` reaches the caller
-/// with its original payload once every thread has stopped.
-pub fn parallel_map<I, O, F>(inputs: Vec<I>, job: F) -> Vec<O>
-where
-    I: Send + Sync,
-    O: Send,
-    F: Fn(&I) -> O + Sync,
-{
-    let threads = thread::available_parallelism().map_or(1, NonZeroUsize::get);
-    fan_out(inputs.len(), threads - 1, |i| job(&inputs[i]))
-}
-
-/// Runs every `(scheme, map)` pair of a figure's sweep in parallel.
+/// Runs every `(scheme, map)` pair of a figure's sweep.
 ///
 /// Returns `results[scheme_index][map_index]`. All runs share
 /// [`BASE_SEED`]-derived seeds, so schemes are compared on identical host
@@ -340,31 +284,23 @@ where
 pub fn run_grid(
     maps: &[u32],
     schemes: &[broadcast_core::SchemeSpec],
-    scale: Scale,
-    tweak: impl Fn(broadcast_core::SimConfigBuilder) -> broadcast_core::SimConfigBuilder + Sync,
+    sweep: &mut Sweep,
+    tweak: impl Fn(broadcast_core::SimConfigBuilder) -> broadcast_core::SimConfigBuilder,
 ) -> Vec<Vec<AveragedReport>> {
-    let pairs: Vec<(usize, usize)> = (0..schemes.len())
-        .flat_map(|s| (0..maps.len()).map(move |m| (s, m)))
-        .collect();
-    let flat = parallel_map(pairs.clone(), |&(s, m)| {
-        let builder = broadcast_core::SimConfig::builder(maps[m], schemes[s].clone())
-            .broadcasts(scale.broadcasts())
-            .seed(BASE_SEED);
-        let config = tweak(builder).build();
-        run_averaged(&config, scale.repeats())
-    });
-    let mut grid: Vec<Vec<Option<AveragedReport>>> = (0..schemes.len())
-        .map(|_| (0..maps.len()).map(|_| None).collect())
-        .collect();
-    for ((s, m), report) in pairs.into_iter().zip(flat) {
-        grid[s][m] = Some(report);
-    }
-    grid.into_iter()
-        .map(|row| {
-            row.into_iter()
-                .map(|r| r.expect("missing grid cell"))
-                .collect()
+    let configs: Vec<SimConfig> = schemes
+        .iter()
+        .flat_map(|scheme| maps.iter().map(move |&map| (scheme, map)))
+        .map(|(scheme, map)| {
+            let builder = SimConfig::builder(map, scheme.clone())
+                .broadcasts(sweep.scale.broadcasts())
+                .seed(BASE_SEED);
+            tweak(builder).build()
         })
+        .collect();
+    let mut flat = sweep.run(&configs).into_iter();
+    schemes
+        .iter()
+        .map(|_| flat.by_ref().take(maps.len()).collect())
         .collect()
 }
 
@@ -377,91 +313,55 @@ pub const BASE_SEED: u64 = 20_260_705;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use broadcast_core::SchemeSpec;
-
-    #[test]
-    fn parallel_map_preserves_order() {
-        let inputs: Vec<u64> = (0..37).collect();
-        let outputs = parallel_map(inputs.clone(), |&x| x * 2);
-        assert_eq!(outputs, inputs.iter().map(|x| x * 2).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn parallel_map_handles_empty() {
-        let outputs: Vec<u64> = parallel_map(Vec::<u64>::new(), |&x| x);
-        assert!(outputs.is_empty());
-    }
+    use broadcast_core::{NeighborInfo, SchemeSpec};
 
     #[test]
     fn averaging_runs_distinct_seeds() {
-        let config = broadcast_core::SimConfig::builder(3, SchemeSpec::Flooding)
+        let config = SimConfig::builder(3, SchemeSpec::Flooding)
             .hosts(15)
             .broadcasts(3)
             .seed(1)
             .build();
-        let avg = run_averaged(&config, 2);
+        let avg = Sweep::new(Scale::Default).run(&[config]).remove(0);
         assert_eq!(avg.map, "3x3");
         assert!(avg.reachability >= 0.0 && avg.reachability <= 1.01);
     }
 
     #[test]
     fn averaging_reports_spread() {
-        let config = broadcast_core::SimConfig::builder(5, SchemeSpec::Counter(2))
+        let config = SimConfig::builder(5, SchemeSpec::Counter(2))
             .hosts(25)
             .broadcasts(5)
             .seed(9)
             .build();
-        let avg = run_averaged(&config, 3);
-        assert_eq!(avg.repeats, 3);
+        let avg = Sweep::new(Scale::Default).run(&[config]).remove(0);
+        assert_eq!(avg.repeats, 2);
         assert!(avg.reachability_std >= 0.0);
-        // Three distinct seeds virtually never agree to 15 decimal places.
+        // Two distinct seeds virtually never agree to 15 decimal places.
         assert!(avg.reachability_std > 0.0 || avg.reachability == 1.0);
     }
 
     #[test]
-    fn parallel_map_propagates_worker_panics() {
-        // Quiet the default "thread panicked" spew for the expected panic.
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            parallel_map((0..64u64).collect::<Vec<_>>(), |&x| {
-                if x == 7 {
-                    panic!("boom at {x}");
-                }
-                x * 2
-            })
-        }));
-        std::panic::set_hook(prev);
-        let payload = result.expect_err("a worker panic must reach the caller");
-        let msg = payload
-            .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_default();
-        assert!(msg.contains("boom at 7"), "original payload, got: {msg:?}");
-    }
-
-    #[test]
     fn metrics_capture_records_and_drains_sorted() {
-        let config = broadcast_core::SimConfig::builder(3, SchemeSpec::Counter(2))
+        let config = SimConfig::builder(3, SchemeSpec::Counter(2))
             .hosts(20)
             .broadcasts(4)
             .seed(5)
             .build();
-        let flooding = broadcast_core::SimConfig::builder(3, SchemeSpec::Flooding)
+        let flooding = SimConfig::builder(3, SchemeSpec::Flooding)
             .hosts(20)
             .broadcasts(4)
             .seed(5)
             .build();
-        enable_metrics_capture();
-        let _ = run_averaged(&flooding, 1);
-        let _ = run_averaged(&config, 2);
-        let records = drain_metrics_capture();
-        // Other tests may run run_averaged concurrently and add records of
-        // their own; assert on ours by (scheme, map) instead of by count.
-        let rec = records
-            .iter()
-            .find(|r| r.scheme == "C=2" && r.map == "3x3")
-            .expect("captured the C=2 record");
+        let mut sweep = Sweep::new(Scale::Default);
+        let _ = sweep.run(&[flooding, config]);
+        let records = sweep.into_records();
+        assert_eq!(records.len(), 2);
+        // Sorted by (scheme, map): C=2 before flooding, whatever the job order.
+        assert_eq!(records[0].scheme, "C=2");
+        assert_eq!(records[1].scheme, "flooding");
+        let rec = &records[0];
+        assert_eq!(rec.map, "3x3");
         assert_eq!(rec.repeats, 2);
         assert_eq!(rec.metrics.latency_s.count, 8, "4 broadcasts x 2 repeats");
         assert_eq!(
@@ -469,24 +369,20 @@ mod tests {
             rec.metrics.mac.backoff_draws
         );
         assert!(rec.metrics.suppression.scheduled > 0);
-        // Drained records come back sorted by (scheme, map).
-        let c2 = records.iter().position(|r| r.scheme == "C=2").unwrap();
-        let fl = records.iter().position(|r| r.scheme == "flooding").unwrap();
-        assert!(c2 < fl, "records sorted by scheme label");
     }
 
     #[test]
     fn parallel_repeats_match_sequential() {
-        // The exact loop `run_averaged` ran before repeats were fanned out
-        // over workers; the parallel version must reproduce it bit for bit,
-        // both in the averaged report and in the captured metrics record.
-        let config = broadcast_core::SimConfig::builder(3, SchemeSpec::Counter(3))
+        // The plain sequential loop over seeds `seed + i`; the fanned-out
+        // sweep must reproduce it bit for bit, both in the averaged report
+        // and in the recorded metrics.
+        let config = SimConfig::builder(3, SchemeSpec::Counter(3))
             .hosts(20)
             .broadcasts(5)
             .seed(77)
             .build();
-        let repeats = 4u64;
-        let seq_reports: Vec<SimReport> = (0..repeats)
+        let scale = Scale::Default;
+        let seq_reports: Vec<SimReport> = (0..scale.repeats())
             .map(|i| {
                 let mut c = config.clone();
                 c.seed = config.seed.wrapping_add(i);
@@ -494,49 +390,39 @@ mod tests {
             })
             .collect();
         let seq_avg = AveragedReport::from_reports(&seq_reports);
-        let seq_metrics = RunMetricsSummary::from_reports(&seq_reports);
 
-        enable_metrics_capture();
-        let par_avg = run_averaged(&config, repeats);
-        let records = drain_metrics_capture();
-
-        assert_eq!(par_avg, seq_avg, "averaged report must be bit-identical");
-        let rec = records
-            .iter()
-            .find(|r| r.scheme == seq_avg.scheme && r.map == seq_avg.map)
-            .expect("captured the parallel run's metrics record");
-        assert_eq!(rec.repeats, repeats as usize);
+        let mut sweep = Sweep::new(scale);
+        let par_avg = sweep.run(&[config]);
+        assert_eq!(par_avg, [seq_avg], "averaged report must be bit-identical");
         assert_eq!(
-            rec.metrics, seq_metrics,
+            sweep.into_records(),
+            [metrics_record(&seq_reports)],
             "summed metrics must be bit-identical"
         );
     }
 
     #[test]
-    fn custom_latency_bounds_reach_the_capture_sink() {
-        let config = broadcast_core::SimConfig::builder(3, SchemeSpec::Counter(4))
-            .hosts(18)
-            .broadcasts(4)
-            .seed(21)
-            .build();
-        let coarse = [0.01, 1.0];
-        enable_metrics_capture_with_bounds(&coarse);
-        let _ = run_averaged(&config, 1);
-        let records = drain_metrics_capture();
-        let rec = records
-            .iter()
-            .find(|r| r.scheme == "C=4" && r.map == "3x3")
-            .expect("captured the C=4 record");
-        assert_eq!(
-            rec.metrics.latency_s.bounds,
-            coarse.to_vec(),
-            "sink uses the configured bucket edges"
-        );
-        // The default-bounds path is byte-identical to the old constant.
-        let reports = vec![World::new(config).run()];
-        let default_rec = metrics_record(&reports);
-        let explicit = metrics_record_with_bounds(&reports, &DEFAULT_LATENCY_BOUNDS_S);
-        assert_eq!(default_rec, explicit);
+    fn equal_labels_keep_config_order() {
+        // HELLO and oracle runs of one (scheme, map) share a sort key; the
+        // records must come back in config order, not worker order.
+        let nc = |info: NeighborInfo| {
+            SimConfig::builder(3, SchemeSpec::NeighborCoverage)
+                .hosts(20)
+                .broadcasts(4)
+                .seed(3)
+                .neighbor_info(info)
+                .build()
+        };
+        let hello = nc(NeighborInfo::Hello(
+            manet_net::HelloIntervalPolicy::fixed_1s(),
+        ));
+        let mut sweep = Sweep::new(Scale::Quick);
+        let _ = sweep.run(&[hello, nc(NeighborInfo::Oracle)]);
+        let records = sweep.into_records();
+        assert_eq!(records.len(), 2);
+        assert!(records.iter().all(|r| r.scheme == "NC" && r.map == "3x3"));
+        assert!(records[0].metrics.net.hello_sent > 0, "HELLO run first");
+        assert_eq!(records[1].metrics.net.hello_sent, 0, "oracle run second");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Smoke tests of the experiment harness: figure registry sanity and the
 //! instant (non-simulation) figures.
 
-use manet_experiments::{all_figures, figures, Scale};
+use manet_experiments::{all_figures, figures, Scale, Sweep};
 
 #[test]
 fn figure_ids_are_unique_and_complete() {
@@ -20,7 +20,7 @@ fn figure_ids_are_unique_and_complete() {
 
 #[test]
 fn fig6_tabulates_the_recommended_function() {
-    let tables = figures::fig06::run(Scale::Quick);
+    let tables = figures::fig06::run(&mut Sweep::new(Scale::Quick));
     assert_eq!(tables.len(), 1);
     let rendered = tables[0].render();
     assert!(rendered.contains("linear (recommended)"));
@@ -33,7 +33,7 @@ fn fig6_tabulates_the_recommended_function() {
 
 #[test]
 fn fig8_tabulates_candidate_area_thresholds() {
-    let tables = figures::fig08::run(Scale::Quick);
+    let tables = figures::fig08::run(&mut Sweep::new(Scale::Quick));
     let csv = tables[0].to_csv();
     // The ceiling 0.187 appears once n is large.
     assert!(csv.lines().last().expect("non-empty").contains("0.1870"));
@@ -46,7 +46,7 @@ fn fig8_tabulates_candidate_area_thresholds() {
 
 #[test]
 fn fig1_eac_is_decreasing_at_quick_scale() {
-    let tables = figures::fig01::run(Scale::Quick);
+    let tables = figures::fig01::run(&mut Sweep::new(Scale::Quick));
     let csv = tables[0].to_csv();
     let values: Vec<f64> = csv
         .lines()
@@ -73,7 +73,7 @@ fn fig1_eac_is_decreasing_at_quick_scale() {
 
 #[test]
 fn fig2_distribution_rows_sum_to_one() {
-    let tables = figures::fig02::run(Scale::Quick);
+    let tables = figures::fig02::run(&mut Sweep::new(Scale::Quick));
     let csv = tables[0].to_csv();
     for line in csv.lines().skip(1) {
         let total: f64 = line
